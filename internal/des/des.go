@@ -43,6 +43,7 @@ package des
 
 import (
 	"container/heap"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -51,9 +52,10 @@ import (
 
 // Scheduler is a sharded discrete-event scheduler. Create one with
 // NewScheduler, drive it either synchronously (Run, for pure event
-// workloads) or in the background (Start/Stop, for integrated mode
-// where live goroutines block on its Clock), and read the replay
-// evidence from TraceHash/EventsExecuted.
+// workloads; Await, for a blocking caller waiting on one cascade) or in
+// the background (Start/Stop, for integrated mode where live goroutines
+// block on its Clock), and read the replay evidence from
+// TraceHash/EventsExecuted.
 type Scheduler struct {
 	seed   uint64
 	shards []*shard
@@ -84,9 +86,14 @@ type Scheduler struct {
 	trace    atomic.Uint64
 	executed atomic.Uint64
 
-	// runMu serializes window execution: Run and the Start runner must
-	// not interleave.
+	// runMu serializes window execution: Run, RunUntil, Await and the
+	// Start runner must not interleave.
 	runMu sync.Mutex
+
+	// awaits counts Awaits that ran windows; the background runner
+	// compares it across its settle wait and settles again when an
+	// Await moved time meanwhile.
+	awaits atomic.Uint64
 
 	// workers is how many OS-schedulable executors share each pass's
 	// shard batches (default GOMAXPROCS); jobs feeds the persistent
@@ -142,10 +149,10 @@ func (e *event) less(o *event) bool {
 
 type eventHeap []*event
 
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].less(h[j]) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)         { *h = append(*h, x.(*event)) }
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return h[i].less(h[j]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -225,10 +232,12 @@ type poolJob struct {
 }
 
 // startPool brings up the persistent worker pool (workers-1 goroutines;
-// the run loop itself is the last executor). Caller holds runMu.
-func (s *Scheduler) startPool() {
+// the run loop itself is the last executor) and reports whether it did;
+// false means no pool is needed or another run loop already owns one.
+// Caller holds runMu.
+func (s *Scheduler) startPool() bool {
 	if s.workers <= 1 || s.jobs != nil {
-		return
+		return false
 	}
 	s.jobs = make(chan poolJob, s.workers)
 	for i := 0; i < s.workers-1; i++ {
@@ -241,6 +250,7 @@ func (s *Scheduler) startPool() {
 			}
 		}()
 	}
+	return true
 }
 
 // stopPool tears the pool down and waits for the workers to exit, so
@@ -348,11 +358,7 @@ func (s *Scheduler) TraceHash() uint64 { return s.trace.Load() }
 func (s *Scheduler) Run() {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.startPool()
-	defer s.stopPool()
-	for s.pending.Load() > 0 {
-		s.runWindow()
-	}
+	s.drive(func() bool { return false })
 }
 
 // RunUntil drains the queue up to and including virtual instant
@@ -362,19 +368,70 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(d time.Duration) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	s.startPool()
-	defer s.stopPool()
 	horizon := int64(d)
-	for s.pending.Load() > 0 {
+	s.drive(func() bool {
 		next, ok := s.peekNext()
-		if !ok || next > horizon {
-			break
-		}
-		s.runWindow()
-	}
+		return !ok || next > horizon
+	})
 	if s.nowNS.Load() < horizon {
 		s.nowNS.Store(horizon)
 	}
+}
+
+// ErrStalled reports an Await whose queue drained before its done
+// channel closed: no queued event is left that could ever close it.
+var ErrStalled = errors.New("des: queue drained before the awaited cascade finished")
+
+// Await runs windows on the calling goroutine until done closes — the
+// idea behind SimPy's run(until=event). A blocking caller seeds an
+// event cascade (Scheduler.At) whose last step closes done, then awaits
+// it: no settle wait, no hand-off to the background runner, the
+// caller's own goroutine executes the cascade and whatever else is due
+// before it. Await works with or without Start; while the background
+// runner is up they take turns on the run lock, and the runner settles
+// again before its next window (goroutines an Await woke get their
+// quiet window). It returns ErrStalled when the queue drains first.
+//
+// Never call Await (or a blocking call built on it) from inside an
+// event: the run lock is held there and Await would deadlock.
+func (s *Scheduler) Await(done <-chan struct{}) error {
+	if isClosed(done) {
+		return nil
+	}
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if s.drive(func() bool { return isClosed(done) }) > 0 {
+		s.awaits.Add(1)
+	}
+	if !isClosed(done) {
+		return ErrStalled
+	}
+	return nil
+}
+
+// isClosed polls a done channel without blocking.
+func isClosed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// drive is the one run loop behind Run, RunUntil and Await: execute
+// windows until the queue drains or stop reports true, and report how
+// many windows ran. It brings up the worker pool for its own duration
+// unless the background runner already owns one. Caller holds runMu.
+func (s *Scheduler) drive(stop func() bool) (windows int) {
+	if s.startPool() {
+		defer s.stopPool()
+	}
+	for s.pending.Load() > 0 && !stop() {
+		s.runWindow()
+		windows++
+	}
+	return windows
 }
 
 // peekNext reports the earliest pending instant across shards.

@@ -2,6 +2,7 @@ package des
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,19 @@ import (
 // events, each of which fans out to children on other homes, to a
 // bounded depth, with every delay, home and fan-out a pure function of
 // a state word threaded through the closures. It is the pure-DES
-// workload the replay guarantee is claimed for.
-func seedCascade(s *Scheduler, nroots, depth int) {
+// workload the replay guarantee is claimed for. The returned channel
+// closes when the cascade's last event finishes, the way a blocking
+// caller's handshake cascade signals Await.
+func seedCascade(s *Scheduler, nroots, depth int) <-chan struct{} {
+	done := make(chan struct{})
+	var live atomic.Int64
 	var grow func(ctx *Ctx, state uint64, depth int)
 	grow = func(ctx *Ctx, state uint64, depth int) {
+		defer func() {
+			if live.Add(-1) == 0 {
+				close(done)
+			}
+		}()
 		if depth <= 0 {
 			return
 		}
@@ -24,15 +34,18 @@ func seedCascade(s *Scheduler, nroots, depth int) {
 			st := splitmix64(state + uint64(i))
 			delay := time.Duration(st%5_000) * time.Microsecond // 0..5ms incl. 0: same-window cascades
 			home := st >> 32
+			live.Add(1)
 			ctx.At(delay, home, func(ctx *Ctx) { grow(ctx, st, depth-1) })
 		}
 	}
+	live.Add(int64(nroots))
 	for r := 0; r < nroots; r++ {
 		st := splitmix64(uint64(r) * 0x517cc1b727220a95)
 		home := st >> 32
 		d := depth
 		s.At(time.Duration(r%7)*time.Millisecond, home, func(ctx *Ctx) { grow(ctx, st, d) })
 	}
+	return done
 }
 
 // runCascade builds, seeds and drains one scheduler, returning its
@@ -176,31 +189,38 @@ func TestClockSleepAdvancesVirtualTime(t *testing.T) {
 
 // TestClockConcurrentSleepersShareWindows: sleepers parked for the
 // same duration from the same frozen instant wake together, and the
-// runner keeps ordering among different deadlines.
+// runner keeps ordering among different deadlines. Every wake is queued
+// before the runner starts, so all 32 sleepers really do start from
+// one instant: each wakes at its own deadline, and the 32 wakes run as
+// exactly 32 events. A sleeper may read the clock a window or more
+// after its wake, but never past the last deadline.
 func TestClockConcurrentSleepersShareWindows(t *testing.T) {
 	s := NewScheduler(1, 4)
-	s.Start()
 	defer s.Stop()
 	clock := s.Clock()
 	const n = 32
-	woke := make(chan time.Duration, n)
-	var wg sync.WaitGroup
+	type wake struct{ d, got time.Duration }
+	woke := make(chan wake, n)
 	for i := 0; i < n; i++ {
 		d := time.Duration(1+i%4) * time.Minute
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			before := clock.Now()
 			clock.Sleep(d)
-			woke <- clock.Now().Sub(before)
+			woke <- wake{d: d, got: clock.Now().Sub(before)}
 		}()
 	}
-	wg.Wait()
-	close(woke)
-	for got := range woke {
-		if got < time.Minute || got > 10*time.Minute {
-			t.Fatalf("sleeper woke after %v, want within [1m, 10m]", got)
+	for s.Pending() < n {
+		runtime.Gosched()
+	}
+	s.Start()
+	for i := 0; i < n; i++ {
+		w := <-woke
+		if w.got < w.d || w.got > 4*time.Minute {
+			t.Fatalf("sleeper for %v woke after %v, want within [%v, 4m]", w.d, w.got, w.d)
 		}
+	}
+	if got := s.EventsExecuted(); got != n {
+		t.Fatalf("%d events executed, want the %d wakes", got, n)
 	}
 }
 

@@ -124,11 +124,16 @@ func (s *Scheduler) run(stopCh chan struct{}, doneCh chan struct{}) {
 				continue
 			}
 		}
+		awaits := s.awaits.Load()
 		if !s.settle(stopCh) {
 			return
 		}
 		s.runMu.Lock()
-		s.runWindow()
+		// An Await that ran windows while this runner settled may have
+		// woken goroutines the settle never saw: settle again first.
+		if s.awaits.Load() == awaits {
+			s.runWindow()
+		}
 		s.runMu.Unlock()
 	}
 }

@@ -14,19 +14,22 @@
 // Like internal/gossip, a Node is clockless and externally driven:
 // Round(ctx) executes one contact round and nothing runs on a timer, so
 // the same node runs identically on the goroutine and DES transport
-// engines and replays byte-for-byte under seeded faults (TraceDigest).
+// engines (on DES as an awaited event cascade) and replays
+// byte-for-byte under seeded faults (TraceDigest).
 package dtn
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/radio"
@@ -262,7 +265,9 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Start binds the DTN port and serves inbound contacts until Stop.
+// Start binds the DTN port and serves inbound contacts until Stop. On a
+// discrete-event network the listener serves them as event chains
+// (AcceptEvent): no accept loop and no goroutine per connection.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
@@ -276,6 +281,10 @@ func (n *Node) Start() error {
 		return err
 	}
 	n.lis = lis
+	if n.net.Scheduler() != nil {
+		lis.AcceptEvent(n.serveEvent)
+		return nil
+	}
 	n.wg.Add(1)
 	go n.acceptLoop(lis)
 	return nil
@@ -484,12 +493,45 @@ func (n *Node) SendTTL(dst ids.DeviceID, payload []byte, ttl int) (string, error
 // memory from the group view, and run the offer/want/bundles/ack
 // handshake with the selected neighbors. Neighbors holding one of our
 // destinations are always contacted; the rest fill up to Fanout slots
-// in sorted order.
+// in sorted order. The Groups and Neighbors callbacks run on the
+// caller. On the goroutine engine the contacts are blocking calls
+// bounded by ctx; on a discrete-event network they run as one event
+// cascade that the caller awaits (awaitRound), which always finishes in
+// virtual time, so ctx is not consulted there. Both paths build and
+// apply the same frames.
 func (n *Node) Round(ctx context.Context) {
+	p := n.beginRound()
+	if sched := n.net.Scheduler(); sched != nil {
+		n.awaitRound(sched, p)
+		return
+	}
+	for c, ok := n.nextContact(p); ok; c, ok = n.nextContact(p) {
+		n.exchangeBlocking(ctx, c)
+	}
+}
+
+// contactPlan is one round's contact schedule: the targets chosen in
+// the prologue and how many of them have been walked.
+type contactPlan struct {
+	targets []ids.DeviceID
+	next    int
+}
+
+// contact is one planned handshake: the peer, its OFFER frame, and the
+// transfers the BUNDLES frame shipped, pending the closing ack.
+type contact struct {
+	peer  ids.DeviceID
+	offer []byte
+	plan  []pendingXfer
+}
+
+// beginRound is the round prologue: age custody, absorb the group
+// view and pick the round's targets. A down node plans no contacts.
+func (n *Node) beginRound() *contactPlan {
 	n.mu.Lock()
 	if n.down {
 		n.mu.Unlock()
-		return
+		return &contactPlan{}
 	}
 	n.round++
 	n.stats.Rounds++
@@ -512,24 +554,43 @@ func (n *Node) Round(ctx context.Context) {
 		dsts[bs.b.Dst] = true
 	}
 	n.mu.Unlock()
-	var targets []ids.DeviceID
+	p := &contactPlan{}
 	for _, dev := range neigh {
 		if dev != n.dev && dsts[dev] {
-			targets = append(targets, dev)
+			p.targets = append(p.targets, dev)
 		}
 	}
 	for _, dev := range neigh {
-		if len(targets) >= n.cfg.Fanout {
+		if len(p.targets) >= n.cfg.Fanout {
 			break
 		}
 		if dev == n.dev || dsts[dev] {
 			continue
 		}
-		targets = append(targets, dev)
+		p.targets = append(p.targets, dev)
 	}
-	for _, dev := range targets {
-		n.exchange(ctx, dev)
+	return p
+}
+
+// nextContact walks the plan to the next target with something to
+// offer and builds its OFFER frame; it reports false when the round is
+// done. Offers are built one contact at a time because each contact's
+// outcome (transfers, vaccines) changes what the next one may offer.
+func (n *Node) nextContact(p *contactPlan) (*contact, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for p.next < len(p.targets) {
+		peer := p.targets[p.next]
+		p.next++
+		sums := n.buildOfferLocked(peer)
+		if len(sums) == 0 {
+			continue
+		}
+		n.stats.OffersSent++
+		offer := MarshalOffer(FrameOffer{From: n.dev, Summaries: sums, Delivered: n.vaccineLocked()})
+		return &contact{peer: peer, offer: offer}, true
 	}
+	return nil, false
 }
 
 // buildOfferLocked snapshots the strategy-eligible custody as offer
@@ -560,6 +621,13 @@ func (n *Node) noteExchangeError(peer ids.DeviceID) {
 	n.mu.Unlock()
 }
 
+// reject counts one frame that failed to decode.
+func (n *Node) reject() {
+	n.mu.Lock()
+	n.stats.FramesRejected++
+	n.mu.Unlock()
+}
+
 // pendingXfer is one shipped bundle awaiting the closing ack.
 type pendingXfer struct {
 	id       string
@@ -567,46 +635,27 @@ type pendingXfer struct {
 	direct   bool
 }
 
-// exchange runs one initiator-side contact with peer. Custody only
-// changes on the closing ack: a failed contact leaves every local copy
-// in place.
-func (n *Node) exchange(ctx context.Context, peer ids.DeviceID) {
-	n.mu.Lock()
-	sums := n.buildOfferLocked(peer)
-	if len(sums) == 0 {
-		n.mu.Unlock()
-		return
-	}
-	frame := MarshalOffer(FrameOffer{From: n.dev, Summaries: sums, Delivered: n.vaccineLocked()})
-	n.stats.OffersSent++
-	n.mu.Unlock()
-	conn, err := n.net.Dial(ctx, n.dev, peer, n.tech, Port)
+// wantStep applies the peer's WANT reply (err is the transport error of
+// getting it) and returns the BUNDLES frame: the vaccine purges what
+// the peer reports delivered, and every wanted bundle still held ships
+// with its share of the copy budget. It returns nil when the contact
+// failed; custody only changes on the closing ack, so a failed contact
+// leaves every local copy in place.
+func (n *Node) wantStep(c *contact, resp []byte, err error) []byte {
 	if err != nil {
-		n.noteExchangeError(peer)
-		return
-	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.Send(frame); err != nil {
-		n.noteExchangeError(peer)
-		return
-	}
-	resp, err := conn.Recv(ctx)
-	if err != nil {
-		n.noteExchangeError(peer)
-		return
+		n.noteExchangeError(c.peer)
+		return nil
 	}
 	want, err := UnmarshalWant(resp)
 	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		n.noteExchangeError(peer)
-		return
+		n.reject()
+		n.noteExchangeError(c.peer)
+		return nil
 	}
 	n.mu.Lock()
-	n.applyVaccineLocked(want.Delivered, peer)
+	defer n.mu.Unlock()
+	n.applyVaccineLocked(want.Delivered, c.peer)
 	var out []Bundle
-	var plan []pendingXfer
 	seen := make(map[string]bool, len(want.Want))
 	for _, id := range want.Want {
 		if seen[id] {
@@ -618,7 +667,7 @@ func (n *Node) exchange(ctx context.Context, peer ids.DeviceID) {
 			// Purged by the vaccine above, or never offered.
 			continue
 		}
-		give, retained := n.allocateCopiesLocked(bs, peer)
+		give, retained := n.allocateCopiesLocked(bs, c.peer)
 		out = append(out, Bundle{
 			ID:      bs.b.ID,
 			Src:     bs.b.Src,
@@ -627,29 +676,27 @@ func (n *Node) exchange(ctx context.Context, peer ids.DeviceID) {
 			Copies:  uint32(give),
 			Payload: bs.b.Payload,
 		})
-		plan = append(plan, pendingXfer{id: id, retained: retained, direct: bs.b.Dst == peer})
+		c.plan = append(c.plan, pendingXfer{id: id, retained: retained, direct: bs.b.Dst == c.peer})
 		if len(out) == maxWireBundles {
 			break
 		}
 	}
-	bf := MarshalBundles(FrameBundles{From: n.dev, Bundles: out})
 	n.stats.CopiesSent += uint64(len(out))
-	n.mu.Unlock()
-	if err := conn.Send(bf); err != nil {
-		n.noteExchangeError(peer)
+	return MarshalBundles(FrameBundles{From: n.dev, Bundles: out})
+}
+
+// ackStep applies the peer's closing ACK: custody of every accepted
+// transfer moves (a last copy or a direct delivery leaves this node,
+// a split keeps the retained budget).
+func (n *Node) ackStep(c *contact, resp []byte, err error) {
+	if err != nil {
+		n.noteExchangeError(c.peer)
 		return
 	}
-	ackData, err := conn.Recv(ctx)
+	ack, err := UnmarshalAck(resp)
 	if err != nil {
-		n.noteExchangeError(peer)
-		return
-	}
-	ack, err := UnmarshalAck(ackData)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		n.noteExchangeError(peer)
+		n.reject()
+		n.noteExchangeError(c.peer)
 		return
 	}
 	accepted := make(map[string]bool, len(ack.Accepted))
@@ -657,7 +704,8 @@ func (n *Node) exchange(ctx context.Context, peer ids.DeviceID) {
 		accepted[id] = true
 	}
 	n.mu.Lock()
-	for _, px := range plan {
+	defer n.mu.Unlock()
+	for _, px := range c.plan {
 		if !accepted[px.id] {
 			continue
 		}
@@ -673,42 +721,124 @@ func (n *Node) exchange(ctx context.Context, peer ids.DeviceID) {
 				// the ack propagates backward along the spray paths.
 				n.recordDeliveredLocked(px.id)
 			}
-			n.noteLocked("xfer", px.id, peer, 0, 0)
+			n.noteLocked("xfer", px.id, c.peer, 0, 0)
 		} else {
 			bs.copies = px.retained
-			n.noteLocked("split", px.id, peer, uint64(px.retained), 0)
+			n.noteLocked("split", px.id, c.peer, uint64(px.retained), 0)
 		}
 	}
-	n.mu.Unlock()
+}
+
+// exchangeBlocking runs one initiator-side contact with blocking calls:
+// the goroutine engine's path and the differential oracle for the
+// event path.
+func (n *Node) exchangeBlocking(ctx context.Context, c *contact) {
+	conn, err := n.net.Dial(ctx, n.dev, c.peer, n.tech, Port)
+	if err != nil {
+		n.noteExchangeError(c.peer)
+		return
+	}
+	defer func() { _ = conn.Close() }()
+	if err := conn.Send(c.offer); err != nil {
+		n.noteExchangeError(c.peer)
+		return
+	}
+	resp, err := conn.Recv(ctx)
+	bundles := n.wantStep(c, resp, err)
+	if bundles == nil {
+		return
+	}
+	if err := conn.Send(bundles); err != nil {
+		n.noteExchangeError(c.peer)
+		return
+	}
+	resp, err = conn.Recv(ctx)
+	n.ackStep(c, resp, err)
+}
+
+// awaitRound is Round on a discrete-event network: it seeds the
+// round's contacts as one event cascade on this device's home and runs
+// the scheduler on the calling goroutine until the cascade's last step
+// closes done.
+func (n *Node) awaitRound(sched *des.Scheduler, p *contactPlan) {
+	c, ok := n.nextContact(p)
+	if !ok {
+		return
+	}
+	done := make(chan struct{})
+	sched.At(0, netsim.DeviceHome(n.dev), func(ctx *des.Ctx) { n.contactEvent(ctx, p, c, done) })
+	if err := sched.Await(done); err != nil {
+		panic(fmt.Sprintf("dtn: %s: round cascade: %v", n.dev, err))
+	}
+}
+
+// contactEvent runs one contact as a DialEvent → SendEvent(OFFER) →
+// RecvEvent(WANT) → SendEvent(BUNDLES) → RecvEvent(ACK) → CloseEvent
+// chain, then moves on to the round's next contact, or closes done
+// after the last.
+func (n *Node) contactEvent(ctx *des.Ctx, p *contactPlan, c *contact, done chan struct{}) {
+	next := func(ctx *des.Ctx) {
+		if c, ok := n.nextContact(p); ok {
+			n.contactEvent(ctx, p, c, done)
+			return
+		}
+		close(done)
+	}
+	n.net.DialEvent(ctx, n.dev, c.peer, n.tech, Port, func(ctx *des.Ctx, conn *netsim.Conn, err error) {
+		if err != nil {
+			n.noteExchangeError(c.peer)
+			next(ctx)
+			return
+		}
+		finish := func(ctx *des.Ctx) {
+			conn.CloseEvent(ctx)
+			next(ctx)
+		}
+		if err := conn.SendEvent(ctx, c.offer); err != nil {
+			n.noteExchangeError(c.peer)
+			finish(ctx)
+			return
+		}
+		conn.RecvEvent(ctx, func(ctx *des.Ctx, resp []byte, err error) {
+			bundles := n.wantStep(c, resp, err)
+			if bundles == nil {
+				finish(ctx)
+				return
+			}
+			if err := conn.SendEvent(ctx, bundles); err != nil {
+				n.noteExchangeError(c.peer)
+				finish(ctx)
+				return
+			}
+			conn.RecvEvent(ctx, func(ctx *des.Ctx, resp []byte, err error) {
+				n.ackStep(c, resp, err)
+				finish(ctx)
+			})
+		})
+	})
 }
 
 // --- passive side ---
 
-func (n *Node) serve(conn *netsim.Conn) {
-	defer n.wg.Done()
-	defer func() { _ = conn.Close() }()
-	data, err := conn.Recv(n.ctx)
-	if err != nil {
-		return
-	}
+// offerStep serves a contact's OFFER and returns the WANT reply: the
+// offer's vaccine is applied, and the reply asks for every offered
+// bundle the strategy takes that is neither held nor known delivered.
+// A nil reply means the frame was rejected or this node is down.
+func (n *Node) offerStep(data []byte) []byte {
 	kind, err := FrameKind(data)
 	if err != nil || kind != kindOffer {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
+		n.reject()
+		return nil
 	}
 	offer, err := UnmarshalOffer(data)
 	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
+		n.reject()
+		return nil
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.down {
-		n.mu.Unlock()
-		return
+		return nil
 	}
 	n.stats.FramesIn++
 	n.stats.OffersServed++
@@ -728,23 +858,19 @@ func (n *Node) serve(conn *netsim.Conn) {
 			want = append(want, s.ID)
 		}
 	}
-	reply := MarshalWant(FrameWant{Want: want, Delivered: n.vaccineLocked()})
-	n.mu.Unlock()
-	if err := conn.Send(reply); err != nil {
-		return
-	}
-	data2, err := conn.Recv(n.ctx)
+	return MarshalWant(FrameWant{Want: want, Delivered: n.vaccineLocked()})
+}
+
+// bundlesStep takes custody of a contact's BUNDLES and returns the ACK
+// naming the accepted ones, or nil when the frame was rejected.
+func (n *Node) bundlesStep(data []byte) []byte {
+	bf, err := UnmarshalBundles(data)
 	if err != nil {
-		return
-	}
-	bf, err := UnmarshalBundles(data2)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
+		n.reject()
+		return nil
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.stats.FramesIn++
 	var accepted []string
 	for i := range bf.Bundles {
@@ -752,9 +878,69 @@ func (n *Node) serve(conn *netsim.Conn) {
 			accepted = append(accepted, bf.Bundles[i].ID)
 		}
 	}
-	ackFrame := MarshalAck(FrameAck{Accepted: accepted})
-	n.mu.Unlock()
-	_ = conn.Send(ackFrame)
+	return MarshalAck(FrameAck{Accepted: accepted})
+}
+
+// serve is the goroutine engine's serving side of one contact.
+func (n *Node) serve(conn *netsim.Conn) {
+	defer n.wg.Done()
+	defer func() { _ = conn.Close() }()
+	data, err := conn.Recv(n.ctx)
+	if err != nil {
+		return
+	}
+	reply := n.offerStep(data)
+	if reply == nil || conn.Send(reply) != nil {
+		return
+	}
+	if data, err = conn.Recv(n.ctx); err != nil {
+		return
+	}
+	if ack := n.bundlesStep(data); ack != nil {
+		_ = conn.Send(ack)
+	}
+}
+
+// serveEvent is the discrete-event engine's accept handler: it arms the
+// serving chain inside the dial-completion event, so no goroutine
+// waits on the connection.
+func (n *Node) serveEvent(ctx *des.Ctx, c *netsim.Conn) {
+	c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
+		if err != nil {
+			c.CloseEvent(ctx)
+			return
+		}
+		if !replyEvent(ctx, c, n.offerStep(data)) {
+			return
+		}
+		c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
+			if err != nil {
+				c.CloseEvent(ctx)
+				return
+			}
+			if replyEvent(ctx, c, n.bundlesStep(data)) {
+				parkEvent(ctx, c)
+			}
+		})
+	})
+}
+
+// replyEvent sends a serving end's reply and reports whether it went
+// out; with no reply, or when the send fails, it closes the conn.
+func replyEvent(ctx *des.Ctx, c *netsim.Conn, reply []byte) bool {
+	if reply != nil && c.SendEvent(ctx, reply) == nil {
+		return true
+	}
+	c.CloseEvent(ctx)
+	return false
+}
+
+// parkEvent holds a serving end open until the initiator closes it.
+// Closing right after the last send would make CloseEvent poll every
+// flush retry while the reply is still in flight; a parked receive
+// costs one callback when the initiator's close arrives.
+func parkEvent(ctx *des.Ctx, c *netsim.Conn) {
+	c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, _ error) { c.CloseEvent(ctx) })
 }
 
 // acceptLocked takes custody of one shipped bundle (or consumes it as

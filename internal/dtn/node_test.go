@@ -3,6 +3,7 @@ package dtn
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -20,15 +21,22 @@ import (
 // returns the started nodes in device order.
 type testWorld struct {
 	env   *radio.Environment
+	sched *des.Scheduler // nil on the goroutine engine
 	net   *netsim.Network
 	nodes []*Node
 	devs  []ids.DeviceID
+	// goroutines is the goroutine count once the transport (and, when
+	// started, the scheduler's runner and pool) is up, before any node.
+	goroutines int
 }
 
 type worldOpts struct {
 	cfg    Config
 	seed   int64
 	useDES bool
+	// noRunner leaves the DES scheduler's background runner off: each
+	// Round's own Await is then the only thing that moves virtual time.
+	noRunner bool
 	// groups supplies per-node group views (may be nil).
 	groups func(i int, devs []ids.DeviceID) func() []core.Group
 }
@@ -55,12 +63,20 @@ func newTestWorld(t *testing.T, pos [][2]float64, o worldOpts) *testWorld {
 	}
 	if o.useDES {
 		w.net = netsim.NewDES(env, o.seed, sched)
-		sched.Start()
 		t.Cleanup(sched.Stop)
+		w.sched = sched
+		if !o.noRunner {
+			sched.Start()
+			// Once the runner has executed an event, its pool is up.
+			up := make(chan struct{})
+			sched.At(0, 0, func(*des.Ctx) { close(up) })
+			<-up
+		}
 	} else {
 		w.net = netsim.New(env, o.seed)
 	}
 	t.Cleanup(w.net.Close)
+	w.goroutines = runtime.NumGoroutine()
 	for i := range pos {
 		dev := w.devs[i]
 		var groups func() []core.Group
@@ -441,7 +457,7 @@ func TestDownNodeRefusesWork(t *testing.T) {
 func driveReplay(t *testing.T, seed int64, useDES bool) []uint64 {
 	t.Helper()
 	pos := [][2]float64{{0, 0}, {8, 0}, {16, 0}, {8, 8}}
-	w := newTestWorld(t, pos, worldOpts{cfg: Config{CopyBudget: 4, TTLRounds: 6}, seed: seed})
+	w := newTestWorld(t, pos, worldOpts{cfg: Config{CopyBudget: 4, TTLRounds: 6}, seed: seed, useDES: useDES})
 	ctx := context.Background()
 	if _, err := w.nodes[0].Send(w.devs[2], []byte("alpha")); err != nil {
 		t.Fatal(err)

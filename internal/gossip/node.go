@@ -3,11 +3,13 @@ package gossip
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/ids"
 	"repro/internal/interest"
 	"repro/internal/netsim"
@@ -132,8 +134,8 @@ type Params struct {
 // anti-entropy exchange); nothing runs on a timer, which keeps the
 // schedule deterministic under the sequential chaos driver and makes
 // the node engine-agnostic (goroutine and DES transports both just
-// call Round). Start installs the listener that serves the passive
-// side.
+// call Round; on DES the round runs as an awaited event cascade).
+// Start installs the listener that serves the passive side.
 type Node struct {
 	dev       ids.DeviceID
 	member    ids.MemberID
@@ -200,6 +202,8 @@ func NewNode(p Params) (*Node, error) {
 }
 
 // Start binds the gossip port and serves inbound exchanges until Stop.
+// On a discrete-event network the listener serves them as event chains
+// (AcceptEvent): no accept loop and no goroutine per connection.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
@@ -213,6 +217,10 @@ func (n *Node) Start() error {
 		return err
 	}
 	n.lis = lis
+	if n.net.Scheduler() != nil {
+		lis.AcceptEvent(n.serveEvent)
+		return nil
+	}
 	n.wg.Add(1)
 	go n.acceptLoop(lis)
 	return nil
@@ -347,8 +355,51 @@ func maskBit(mask []byte, i int) bool {
 
 // Round executes one gossip round: refresh the local record, push hot
 // rumors to socially sampled partners, and every AEEvery-th round run
-// one anti-entropy reconciliation with a uniformly drawn neighbor.
+// one anti-entropy reconciliation with a uniformly drawn neighbor. The
+// Self and Neighbors callbacks run on the caller. On the goroutine
+// engine the exchanges are blocking calls bounded by ctx; on a
+// discrete-event network they run as one event cascade that the caller
+// awaits (awaitRound), which always finishes in virtual time, so ctx is
+// not consulted there. Both paths walk the same plan and build and
+// apply the same frames.
 func (n *Node) Round(ctx context.Context) {
+	p := n.beginRound()
+	if sched := n.net.Scheduler(); sched != nil {
+		n.awaitRound(sched, p)
+	} else {
+		for x, ok := n.nextExchange(p); ok; x, ok = n.nextExchange(p) {
+			n.exchangeBlocking(ctx, x)
+		}
+	}
+	n.mu.Lock()
+	n.ageView()
+	n.mu.Unlock()
+}
+
+// roundPlan is one round's exchange schedule: the sorted neighborhood
+// the round's callback returned, the hot rumors still to push (nil once
+// the push phase is over), the partners drawn so far, and whether
+// anti-entropy is still due.
+type roundPlan struct {
+	neigh  []ids.DeviceID
+	hot    []Record
+	used   map[ids.DeviceID]bool
+	pushes int // push slots drawn so far
+	ae     bool
+}
+
+// exchange is one planned handshake with partner: a rumor push carrying
+// fresh, or (digest) an anti-entropy run. frame is its opening frame.
+type exchange struct {
+	partner ids.DeviceID
+	digest  bool
+	fresh   []Record
+	frame   []byte
+}
+
+// beginRound is the round prologue: refresh the local record, count the
+// round, and snapshot the neighborhood and the hot rumors.
+func (n *Node) beginRound() *roundPlan {
 	n.refreshSelf()
 	n.mu.Lock()
 	n.round++
@@ -357,149 +408,115 @@ func (n *Node) Round(ctx context.Context) {
 	n.mu.Unlock()
 	neigh := append([]ids.DeviceID(nil), n.neighbors()...)
 	sort.Slice(neigh, func(i, j int) bool { return neigh[i] < neigh[j] })
-	if len(neigh) > 0 {
-		if !n.cfg.DisableRumors {
-			n.pushRumors(ctx, neigh)
-		}
-		if !n.cfg.DisableAntiEntropy && r%uint64(n.cfg.AEEvery) == 0 {
-			n.antiEntropy(ctx, neigh)
-		}
+	p := &roundPlan{neigh: neigh}
+	if len(neigh) == 0 {
+		return p
 	}
-	n.mu.Lock()
-	n.ageView()
-	n.mu.Unlock()
+	if !n.cfg.DisableRumors {
+		n.mu.Lock()
+		p.hot = n.hotRecordsLocked()
+		n.mu.Unlock()
+		p.used = make(map[ids.DeviceID]bool, n.cfg.Fanout)
+	}
+	p.ae = !n.cfg.DisableAntiEntropy && r%uint64(n.cfg.AEEvery) == 0
+	return p
 }
 
-func (n *Node) pushRumors(ctx context.Context, neigh []ids.DeviceID) {
+// nextExchange draws the round's next handshake: up to Fanout rumor
+// pushes to socially weighted partners (skipping a partner whose cached
+// digest already covers every hot rumor), then the anti-entropy run.
+// It reports false when the round has nothing left to exchange.
+func (n *Node) nextExchange(p *roundPlan) (exchange, bool) {
 	n.mu.Lock()
-	hotRecs := n.hotRecordsLocked()
-	n.mu.Unlock()
-	if len(hotRecs) == 0 {
-		return
-	}
-	used := make(map[ids.DeviceID]bool, n.cfg.Fanout)
-	for i := 0; i < n.cfg.Fanout; i++ {
-		n.mu.Lock()
-		partner := n.pickPartner(neigh, used)
-		var fresh []Record
-		if partner != "" {
-			have := n.peerHave[partner]
-			for _, rec := range hotRecs {
-				if !have.Has(rec.Key()) {
-					fresh = append(fresh, rec)
-				}
-			}
-			if len(fresh) == 0 {
-				n.stats.PushesSkipped++
-			}
-		}
-		n.mu.Unlock()
+	defer n.mu.Unlock()
+	for len(p.hot) > 0 && p.pushes < n.cfg.Fanout {
+		p.pushes++
+		partner := n.pickPartner(p.neigh, p.used)
 		if partner == "" {
-			return
+			break
 		}
-		used[partner] = true
+		p.used[partner] = true
+		have := n.peerHave[partner]
+		var fresh []Record
+		for _, rec := range p.hot {
+			if !have.Has(rec.Key()) {
+				fresh = append(fresh, rec)
+			}
+		}
 		if len(fresh) == 0 {
+			n.stats.PushesSkipped++
 			continue
 		}
-		n.exchangeRumor(ctx, partner, fresh)
+		frame := MarshalRumor(FrameRumor{From: n.dev, Records: fresh, View: n.viewSample()})
+		return exchange{partner: partner, fresh: fresh, frame: frame}, true
 	}
-}
-
-func (n *Node) exchangeRumor(ctx context.Context, partner ids.DeviceID, fresh []Record) {
-	n.mu.Lock()
-	frame := MarshalRumor(FrameRumor{From: n.dev, Records: fresh, View: n.viewSample()})
-	n.mu.Unlock()
-	conn, err := n.net.Dial(ctx, n.dev, partner, n.tech, Port)
-	if err != nil {
-		n.notePushError(partner)
-		return
-	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.Send(frame); err != nil {
-		n.notePushError(partner)
-		return
-	}
-	resp, err := conn.Recv(ctx)
-	if err != nil {
-		n.notePushError(partner)
-		return
-	}
-	ack, err := UnmarshalAck(resp)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Lock()
-	n.stats.PushesSent++
-	n.stats.RumorRecordsSent += uint64(len(fresh))
-	for i, rec := range fresh {
-		if maskBit(ack.KnownMask, i) {
-			n.decayHotLocked(rec)
+	p.hot = nil
+	if p.ae {
+		p.ae = false
+		if partner := n.pickUniform(p.neigh); partner != "" {
+			frame := MarshalDigest(FrameDigest{From: n.dev, Bloom: n.buildBloomLocked(), View: n.viewSample()})
+			return exchange{partner: partner, digest: true, frame: frame}, true
 		}
 	}
-	if ack.Bloom != nil {
-		n.peerHave[partner] = ack.Bloom
-	}
-	n.mergeView(ack.View, "", "")
-	n.mu.Unlock()
+	return exchange{}, false
 }
 
-// notePushError records a failed exchange and drops the partner's
-// cached digest — after an error we no longer know what they have.
-func (n *Node) notePushError(partner ids.DeviceID) {
+// failExchange records a failed exchange and drops the partner's cached
+// digest — after an error we no longer know what they have.
+func (n *Node) failExchange(x exchange) {
 	n.mu.Lock()
-	n.stats.PushErrors++
-	delete(n.peerHave, partner)
-	n.mu.Unlock()
-}
-
-// antiEntropy runs one push-pull reconciliation: send our digest, pull
-// the partner's missing records (plus their digest), push back what
-// they lack, and wait for their closing ack so the exchange is fully
-// applied on both sides before the round returns.
-func (n *Node) antiEntropy(ctx context.Context, neigh []ids.DeviceID) {
-	n.mu.Lock()
-	partner := n.pickUniform(neigh)
-	var frame []byte
-	if partner != "" {
-		frame = MarshalDigest(FrameDigest{From: n.dev, Bloom: n.buildBloomLocked(), View: n.viewSample()})
-	}
-	n.mu.Unlock()
-	if partner == "" {
-		return
-	}
-	fail := func() {
-		n.mu.Lock()
+	if x.digest {
 		n.stats.AEErrors++
-		delete(n.peerHave, partner)
-		n.mu.Unlock()
+	} else {
+		n.stats.PushErrors++
 	}
-	conn, err := n.net.Dial(ctx, n.dev, partner, n.tech, Port)
+	delete(n.peerHave, x.partner)
+	n.mu.Unlock()
+}
+
+// replyStep applies the partner's reply to an exchange's opening frame
+// (err is the transport error of getting it) and returns the closing
+// frame the exchange still owes: the closing delta of an anti-entropy
+// run, nil for a rumor push or a failed exchange. A push's ack decays
+// the rumors the partner already knew and caches its digest; an
+// anti-entropy delta applies the pulled records, and the closing delta
+// pushes back what the partner's digest lacks. A reply that fails to
+// decode fails the exchange.
+func (n *Node) replyStep(x exchange, resp []byte, err error) []byte {
 	if err != nil {
-		fail()
-		return
+		n.failExchange(x)
+		return nil
 	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.Send(frame); err != nil {
-		fail()
-		return
-	}
-	resp, err := conn.Recv(ctx)
-	if err != nil {
-		fail()
-		return
+	if !x.digest {
+		ack, err := UnmarshalAck(resp)
+		if err != nil {
+			n.reject()
+			n.failExchange(x)
+			return nil
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.PushesSent++
+		n.stats.RumorRecordsSent += uint64(len(x.fresh))
+		for i, rec := range x.fresh {
+			if maskBit(ack.KnownMask, i) {
+				n.decayHotLocked(rec)
+			}
+		}
+		if ack.Bloom != nil {
+			n.peerHave[x.partner] = ack.Bloom
+		}
+		n.mergeView(ack.View, "", "")
+		return nil
 	}
 	delta, err := UnmarshalDelta(resp)
 	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		fail()
-		return
+		n.reject()
+		n.failExchange(x)
+		return nil
 	}
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	pulled := uint64(0)
 	for _, rec := range delta.Records {
 		if n.applyLocked(rec) {
@@ -509,27 +526,184 @@ func (n *Node) antiEntropy(ctx context.Context, neigh []ids.DeviceID) {
 	var back []Record
 	if delta.Bloom != nil {
 		back = n.missingLocked(delta.Bloom)
-		n.peerHave[partner] = delta.Bloom
+		n.peerHave[x.partner] = delta.Bloom
 	}
-	closing := MarshalDelta(FrameDelta{From: n.dev, Records: back})
 	n.stats.AERuns++
 	n.stats.AERecordsPulled += pulled
 	n.stats.AERecordsPushed += uint64(len(back))
+	return MarshalDelta(FrameDelta{From: n.dev, Records: back})
+}
+
+// reject counts one frame that failed to decode.
+func (n *Node) reject() {
+	n.mu.Lock()
+	n.stats.FramesRejected++
 	n.mu.Unlock()
-	if err := conn.Send(closing); err != nil {
-		fail()
+}
+
+// exchangeBlocking runs one handshake with blocking calls: the
+// goroutine engine's path and the differential oracle for the event
+// path. An anti-entropy run waits for the partner's final ack, so the
+// exchange is fully applied on both sides before the round returns
+// (the sequential chaos driver relies on rounds being settled).
+func (n *Node) exchangeBlocking(ctx context.Context, x exchange) {
+	conn, err := n.net.Dial(ctx, n.dev, x.partner, n.tech, Port)
+	if err != nil {
+		n.failExchange(x)
 		return
 	}
-	// The final ack guarantees the partner applied the closing delta
-	// before this round completes (the sequential chaos driver relies
-	// on rounds being fully settled when Round returns).
-	if _, err := conn.Recv(ctx); err != nil {
-		fail()
+	defer func() { _ = conn.Close() }()
+	if err := conn.Send(x.frame); err != nil {
+		n.failExchange(x)
+		return
 	}
+	resp, err := conn.Recv(ctx)
+	closing := n.replyStep(x, resp, err)
+	if closing == nil {
+		return
+	}
+	if err := conn.Send(closing); err != nil {
+		n.failExchange(x)
+		return
+	}
+	if _, err := conn.Recv(ctx); err != nil {
+		n.failExchange(x)
+	}
+}
+
+// awaitRound is Round on a discrete-event network: it seeds the
+// round's exchanges as one event cascade on this device's home and
+// runs the scheduler on the calling goroutine until the cascade's last
+// step closes done. The prologue (callbacks, first partner draw) has
+// already run on the caller.
+func (n *Node) awaitRound(sched *des.Scheduler, p *roundPlan) {
+	x, ok := n.nextExchange(p)
+	if !ok {
+		return
+	}
+	done := make(chan struct{})
+	sched.At(0, netsim.DeviceHome(n.dev), func(ctx *des.Ctx) { n.exchangeEvent(ctx, p, x, done) })
+	if err := sched.Await(done); err != nil {
+		panic(fmt.Sprintf("gossip: %s: round cascade: %v", n.dev, err))
+	}
+}
+
+// exchangeEvent runs one handshake as a DialEvent → SendEvent →
+// RecvEvent (→ SendEvent → RecvEvent) → CloseEvent chain, then moves
+// on to the round's next exchange, or closes done after the last.
+func (n *Node) exchangeEvent(ctx *des.Ctx, p *roundPlan, x exchange, done chan struct{}) {
+	next := func(ctx *des.Ctx) {
+		if x, ok := n.nextExchange(p); ok {
+			n.exchangeEvent(ctx, p, x, done)
+			return
+		}
+		close(done)
+	}
+	n.net.DialEvent(ctx, n.dev, x.partner, n.tech, Port, func(ctx *des.Ctx, c *netsim.Conn, err error) {
+		if err != nil {
+			n.failExchange(x)
+			next(ctx)
+			return
+		}
+		finish := func(ctx *des.Ctx) {
+			c.CloseEvent(ctx)
+			next(ctx)
+		}
+		if err := c.SendEvent(ctx, x.frame); err != nil {
+			n.failExchange(x)
+			finish(ctx)
+			return
+		}
+		c.RecvEvent(ctx, func(ctx *des.Ctx, resp []byte, err error) {
+			closing := n.replyStep(x, resp, err)
+			if closing == nil {
+				finish(ctx)
+				return
+			}
+			if err := c.SendEvent(ctx, closing); err != nil {
+				n.failExchange(x)
+				finish(ctx)
+				return
+			}
+			c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, err error) {
+				if err != nil {
+					n.failExchange(x)
+				}
+				finish(ctx)
+			})
+		})
+	})
 }
 
 // --- passive side ---
 
+// openStep serves an exchange's opening frame and returns the reply:
+// a rumor is applied and acked with the records it carried that were
+// already known, our digest and a view sample; a digest is answered
+// with the records it lacks plus our own digest, and more reports that
+// a closing delta follows. A nil reply means the frame was rejected.
+func (n *Node) openStep(data []byte) (reply []byte, more bool) {
+	kind, err := FrameKind(data)
+	if err != nil {
+		n.reject()
+		return nil, false
+	}
+	switch kind {
+	case kindRumor:
+		f, err := UnmarshalRumor(data)
+		if err != nil {
+			n.reject()
+			return nil, false
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.FramesIn++
+		mask := make([]byte, (len(f.Records)+7)/8)
+		for i, rec := range f.Records {
+			if !n.applyLocked(rec) {
+				mask[i>>3] |= 1 << (i & 7)
+			}
+		}
+		n.mergeView(f.View, "", "")
+		return MarshalAck(FrameAck{KnownMask: mask, Bloom: n.buildBloomLocked(), View: n.viewSample()}), false
+	case kindDigest:
+		f, err := UnmarshalDigest(data)
+		if err != nil {
+			n.reject()
+			return nil, false
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.stats.FramesIn++
+		if f.Bloom != nil && f.From != "" {
+			n.peerHave[f.From] = f.Bloom
+		}
+		n.mergeView(f.View, "", "")
+		fresh := n.missingLocked(f.Bloom)
+		return MarshalDelta(FrameDelta{From: n.dev, Records: fresh, Bloom: n.buildBloomLocked()}), true
+	default:
+		n.reject()
+		return nil, false
+	}
+}
+
+// closingStep applies an anti-entropy run's closing delta and returns
+// the final ack, or nil when the delta was rejected.
+func (n *Node) closingStep(data []byte) []byte {
+	closing, err := UnmarshalDelta(data)
+	if err != nil {
+		n.reject()
+		return nil
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, rec := range closing.Records {
+		n.applyLocked(rec)
+	}
+	return MarshalAck(FrameAck{})
+}
+
+// serve is the goroutine engine's serving side of one connection.
 func (n *Node) serve(conn *netsim.Conn) {
 	defer n.wg.Done()
 	defer func() { _ = conn.Close() }()
@@ -537,85 +711,63 @@ func (n *Node) serve(conn *netsim.Conn) {
 	if err != nil {
 		return
 	}
-	kind, err := FrameKind(data)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
+	reply, more := n.openStep(data)
+	if reply == nil || conn.Send(reply) != nil || !more {
 		return
 	}
-	switch kind {
-	case kindRumor:
-		n.serveRumor(conn, data)
-	case kindDigest:
-		n.serveDigest(conn, data)
-	default:
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
+	if data, err = conn.Recv(n.ctx); err != nil {
+		return
+	}
+	if ack := n.closingStep(data); ack != nil {
+		_ = conn.Send(ack)
 	}
 }
 
-func (n *Node) serveRumor(conn *netsim.Conn, data []byte) {
-	f, err := UnmarshalRumor(data)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Lock()
-	n.stats.FramesIn++
-	mask := make([]byte, (len(f.Records)+7)/8)
-	for i, rec := range f.Records {
-		if !n.applyLocked(rec) {
-			mask[i>>3] |= 1 << (i & 7)
+// serveEvent is the discrete-event engine's accept handler: it arms the
+// serving chain inside the dial-completion event, so no goroutine
+// waits on the connection.
+func (n *Node) serveEvent(ctx *des.Ctx, c *netsim.Conn) {
+	c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
+		if err != nil {
+			c.CloseEvent(ctx)
+			return
 		}
-	}
-	n.mergeView(f.View, "", "")
-	ack := MarshalAck(FrameAck{KnownMask: mask, Bloom: n.buildBloomLocked(), View: n.viewSample()})
-	n.mu.Unlock()
-	_ = conn.Send(ack)
+		reply, more := n.openStep(data)
+		if !replyEvent(ctx, c, reply) {
+			return
+		}
+		if !more {
+			parkEvent(ctx, c)
+			return
+		}
+		c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
+			if err != nil {
+				c.CloseEvent(ctx)
+				return
+			}
+			if replyEvent(ctx, c, n.closingStep(data)) {
+				parkEvent(ctx, c)
+			}
+		})
+	})
 }
 
-func (n *Node) serveDigest(conn *netsim.Conn, data []byte) {
-	f, err := UnmarshalDigest(data)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
+// replyEvent sends a serving end's reply and reports whether it went
+// out; with no reply, or when the send fails, it closes the conn.
+func replyEvent(ctx *des.Ctx, c *netsim.Conn, reply []byte) bool {
+	if reply != nil && c.SendEvent(ctx, reply) == nil {
+		return true
 	}
-	n.mu.Lock()
-	n.stats.FramesIn++
-	if f.Bloom != nil && f.From != "" {
-		n.peerHave[f.From] = f.Bloom
-	}
-	n.mergeView(f.View, "", "")
-	fresh := n.missingLocked(f.Bloom)
-	reply := MarshalDelta(FrameDelta{From: n.dev, Records: fresh, Bloom: n.buildBloomLocked()})
-	n.mu.Unlock()
-	if err := conn.Send(reply); err != nil {
-		return
-	}
-	data2, err := conn.Recv(n.ctx)
-	if err != nil {
-		return
-	}
-	closing, err := UnmarshalDelta(data2)
-	if err != nil {
-		n.mu.Lock()
-		n.stats.FramesRejected++
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Lock()
-	for _, rec := range closing.Records {
-		n.applyLocked(rec)
-	}
-	done := MarshalAck(FrameAck{})
-	n.mu.Unlock()
-	_ = conn.Send(done)
+	c.CloseEvent(ctx)
+	return false
+}
+
+// parkEvent holds a serving end open until the initiator closes it.
+// Closing right after the last send would make CloseEvent poll every
+// flush retry while the reply is still in flight; a parked receive
+// costs one callback when the initiator's close arrives.
+func parkEvent(ctx *des.Ctx, c *netsim.Conn) {
+	c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, _ error) { c.CloseEvent(ctx) })
 }
 
 // --- views ---
