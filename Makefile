@@ -1,8 +1,8 @@
 # Development entry points. `make verify` is what CI runs and what a
 # PR must keep green: build, go vet, the project's own phvet analyzers
 # (walltime / detrand / lockguard / errdrop / mapiter / taintclock /
-# goloss), and the full test suite under the race detector with the
-# goroutine-leak checker armed.
+# goloss), the full test suite under the race detector with the
+# goroutine-leak checker armed, and the benchmark's oracles.
 
 GO ?= go
 
@@ -89,9 +89,9 @@ DTNBENCH_REQUIRE_SMOKE = BenchmarkDTNDelivery/world=bus/strategy=epidemic/device
 DTNBENCH_REQUIRE = $(DTNBENCH_REQUIRE_SMOKE),BenchmarkDTNDelivery/world=bus/strategy=social/engine=des/devices=200
 DTNBENCH_RATIO   = BenchmarkDTNDelivery/world=bus/strategy=epidemic/devices=200:BenchmarkDTNDelivery/world=bus/strategy=social/devices=200:2:copies/delivered,BenchmarkDTNDelivery/world=campus/strategy=epidemic/devices=200:BenchmarkDTNDelivery/world=campus/strategy=social/devices=200:1.3:copies/delivered
 
-.PHONY: verify build vet phvet vet-baseline test race chaos fuzz bench bench-json bench-smoke
+.PHONY: verify build vet phvet vet-baseline test race chaos fuzz bench bench-json bench-smoke bench-oracles
 
-verify: build vet phvet race chaos fuzz bench-smoke
+verify: build vet phvet race chaos fuzz bench-smoke bench-oracles
 
 build:
 	$(GO) build ./...
@@ -157,6 +157,12 @@ bench-json:
 	$(GO) test -run '^$$' -bench '$(DTNBENCH_PATTERN)' -benchtime 1x -count=5 . > bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_dtn.json -require '$(DTNBENCH_REQUIRE)' -ratio '$(DTNBENCH_RATIO)' < bench.out
 	rm -f bench.out
+
+# bench-oracles runs the perfbench workloads' oracles at toy size under
+# the race detector. perfbench/ is a module of its own, so the root's
+# ./... never reaches it.
+bench-oracles:
+	cd perfbench && $(GO) test -race ./...
 
 # bench-smoke is the CI guard: every benchmark still compiles and runs
 # (one iteration), and none of the required names has disappeared. No

@@ -323,11 +323,14 @@ func (s *Scheduler) schedule(d time.Duration, home, seq uint64, fn func(ctx *Ctx
 		fn:      fn,
 		release: release,
 	}
+	// Count before the push: a run loop that pops the event in between
+	// would otherwise read pending low and stop with the event queued.
+	// Reading it high costs at most an empty window.
+	s.pending.Add(1)
 	sh := s.shards[home%uint64(len(s.shards))]
 	sh.mu.Lock()
 	heap.Push(&sh.q, e)
 	sh.mu.Unlock()
-	s.pending.Add(1)
 	s.Bump()
 	select {
 	case s.kick <- struct{}{}:

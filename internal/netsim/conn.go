@@ -126,7 +126,7 @@ func drainQ(q chan []byte) {
 
 // newConnPair wires up both ends and starts their pumps; registering
 // the dialer end with the network enrolls the pair in the shared link
-// sweep (Network.sweepLinks). It returns (dialer end, listener end).
+// sweep (sweep.go). It returns (dialer end, listener end).
 // Pairs come from the network's pool: connection churn dominated the
 // allocation profile at scale, and the big pieces — the transmit and
 // receive queues, the admission semaphores, the reorder maps — are
@@ -239,6 +239,14 @@ func (c *Conn) send(payload []byte, deadline <-chan time.Time, cancel <-chan str
 	c.mu.Unlock()
 	select {
 	case c.sendQ <- msg:
+		// The pump drains its queue once, as it exits on close. A send
+		// that raced the close can land after that drain; it releases
+		// what it left behind itself, or Close's flush would wait on it.
+		select {
+		case <-c.closed:
+			c.drainSendQ()
+		default:
+		}
 		return nil
 	case <-c.closed:
 		c.pending.Done()
@@ -456,12 +464,12 @@ func (c *Conn) pump() {
 				c.failBoth(fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
 				return
 			}
+			c.net.counters.deliver(len(msg))
 			select {
 			case c.peer.recvQ <- msg:
-				c.net.counters.messagesDelivered.Add(1)
-				c.net.counters.bytesDelivered.Add(uint64(len(msg)))
 				c.pending.Done()
 			case <-c.closed:
+				c.net.counters.undeliver(len(msg))
 				c.pending.Done()
 				return
 			}
@@ -470,8 +478,12 @@ func (c *Conn) pump() {
 }
 
 // drainSendQ releases accounting for messages abandoned when the pump
-// exits, so Close never waits on undeliverable traffic.
+// exits, so Close never waits on undeliverable traffic. It first waits
+// for the close: a pump whose failBoth lost the race to another failing
+// goroutine exits before that goroutine has closed the conn, and sends
+// still land in the queue until it does.
 func (c *Conn) drainSendQ() {
+	<-c.closed
 	for {
 		select {
 		case <-c.sendQ:

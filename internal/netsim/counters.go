@@ -37,6 +37,22 @@ type netCounters struct {
 	messagesCorrupted     atomic.Uint64
 }
 
+// deliver charges one message of size bytes as delivered. Both engines
+// charge before handing the message to the receive queue, so a reader
+// that has the message also sees it counted; undeliver takes the charge
+// back when the hand-off is abandoned.
+func (c *netCounters) deliver(size int) {
+	c.messagesDelivered.Add(1)
+	c.bytesDelivered.Add(uint64(size))
+}
+
+// undeliver reverses one deliver charge (the sync/atomic subtraction
+// idiom: adding ^uint64(k-1) subtracts k).
+func (c *netCounters) undeliver(size int) {
+	c.messagesDelivered.Add(^uint64(0))
+	c.bytesDelivered.Add(^uint64(size - 1))
+}
+
 func (c *netCounters) snapshot() Counters {
 	return Counters{
 		DialsAttempted:    c.dialsAttempted.Load(),

@@ -16,9 +16,9 @@ import (
 // bound to a des.Scheduler (NewDES) has no per-connection pump
 // goroutines and no shared sweeper goroutine. Send draws the message's
 // fate immediately and schedules a delivery event at the instant the
-// modeled transfer completes; the link sweep is a self-rescheduling
-// event; broadcast fan-out and dial setup ride the scheduler's Clock.
-// The goroutine engine (conn.go pump, sweepLinks) is untouched and
+// modeled transfer completes; the link sweep runs the shared sweep body
+// (sweep.go) from a self-rescheduling event; broadcast fan-out and dial
+// setup ride the scheduler's Clock. The goroutine engine (conn.go pump)
 // remains the differential oracle at small n — the simtest suite holds
 // the two engines to identical delivered bytes, fault counters and
 // group membership.
@@ -42,9 +42,6 @@ const (
 	// queue directly, an event must poll.
 	desFlushRetry = time.Millisecond
 )
-
-// sweepHome is the scheduling home of the link-sweep event chain.
-const sweepHome uint64 = 0x736e732d7377656570 >> 8 // "ns-sweep"
 
 // homeOf maps a device to a stable 64-bit scheduling home, so all
 // deliveries toward one device land on one shard in a deterministic
@@ -391,14 +388,14 @@ func (d *desConnState) enqueueLocked(m *desMsg) {
 func (c *Conn) desFlushLocked() bool {
 	for len(c.des.rbuf) > 0 {
 		m := c.des.rbuf[0]
+		c.net.counters.deliver(len(m.payload))
 		select {
 		case c.recvQ <- m.payload:
 		default:
+			c.net.counters.undeliver(len(m.payload))
 			return true // receive queue full: retry event takes over
 		}
 		c.des.rbuf = c.des.rbuf[1:]
-		c.net.counters.messagesDelivered.Add(1)
-		c.net.counters.bytesDelivered.Add(uint64(len(m.payload)))
 		c.peer.desRelease()
 	}
 	return false
@@ -458,51 +455,4 @@ func (c *Conn) desDrainReceiver() {
 	for i := 0; i < dropped; i++ {
 		c.peer.desRelease()
 	}
-}
-
-// desSweepEvent is the event-engine link sweep: the same dead-link
-// check as sweepLinks, re-arming itself every modeled
-// linkCheckInterval and retiring when the network closes or the last
-// connection dies (trackConn re-arms it for the next one).
-func (n *Network) desSweepEvent(ctx *des.Ctx) {
-	n.mu.Lock()
-	if n.closed || len(n.conns) == 0 {
-		n.sweeping = false
-		n.mu.Unlock()
-		return
-	}
-	live := make([]*Conn, 0, len(n.conns))
-	for c := range n.conns {
-		// Holding the pair across the unlocked check below: a tracked
-		// conn always has its user holds outstanding, so the ref can
-		// never resurrect a recycled pair.
-		c.pair.ref()
-		live = append(live, c)
-	}
-	sortConnsDet(live)
-	n.mu.Unlock()
-	for _, c := range live {
-		if !n.linkUp(c.local, c.remote, c.tech) {
-			n.counters.linkFailures.Add(1)
-			c.desTeardown(ctx, fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
-		}
-		c.unref()
-	}
-	ctx.At(n.sweepInterval(), sweepHome, n.desSweepEvent)
-}
-
-// sweepInterval is the real-scaled link-check period (shared with the
-// goroutine sweeper's timer).
-func (n *Network) sweepInterval() time.Duration {
-	interval := n.env.Scale().ToReal(linkCheckInterval)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	return interval
-}
-
-// armSweepEvent schedules the first sweep after trackConn flips
-// n.sweeping on an event-engine network.
-func (n *Network) armSweepEvent() {
-	n.sched.At(n.sweepInterval(), sweepHome, n.desSweepEvent)
 }

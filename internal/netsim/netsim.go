@@ -42,11 +42,6 @@ var (
 // when the queue is full, which models transmit-buffer backpressure.
 const sendQueueLen = 256
 
-// linkCheckInterval is the modeled interval at which the network's
-// shared link sweep verifies the radio link under every established
-// connection still holds, so idle connections notice separation too.
-const linkCheckInterval = time.Second
-
 // Network binds the transport to a radio environment.
 type Network struct {
 	env *radio.Environment
@@ -59,7 +54,17 @@ type Network struct {
 	rng         *rand.Rand
 	closed      bool
 	conns       map[*Conn]bool // one end per live pair, for sweep + Close teardown
-	sweeping    bool           // a sweepLinks goroutine is running
+	sweeping    bool           // a link sweeper (goroutine or event chain) is running
+
+	// The change-driven link sweep's state (sweep.go): the conns tracked
+	// since the last sweep step, the epoch of the last full sweep, the
+	// partition generation Partition and Heal bump, and how many links
+	// sweeps have checked (a cost figure for tests, kept out of
+	// Counters so the engines' Counters stay comparable).
+	unswept     map[*Conn]bool
+	sweptAt     sweepEpoch
+	partGen     uint64
+	sweepChecks uint64
 
 	// sweepWake (capacity 1) nudges the link sweeper out of its timer
 	// wait when the network closes or the last connection dies, so the
@@ -156,6 +161,7 @@ func New(env *radio.Environment, seed int64) *Network {
 		rng:         rand.New(rand.NewSource(seed)),
 		txLocks:     make(map[txKey]*sync.Mutex),
 		conns:       make(map[*Conn]bool),
+		unswept:     make(map[*Conn]bool),
 		sweepWake:   make(chan struct{}, 1),
 		pairSeq:     make(map[dirPair]uint64),
 	}
@@ -255,6 +261,7 @@ func (n *Network) Close() {
 	}
 	sortConnsDet(live)
 	n.conns = make(map[*Conn]bool)
+	clear(n.unswept)
 	n.kickSweeperLocked()
 	n.mu.Unlock()
 	// Outside the lock: failing a conn re-enters the network to
@@ -265,97 +272,13 @@ func (n *Network) Close() {
 	}
 }
 
-// trackConn registers one end of a new pair for the link sweep and
-// Close teardown, starting the sweeper if it is not already running.
-func (n *Network) trackConn(c *Conn) {
-	n.mu.Lock()
-	n.conns[c] = true
-	start := !n.sweeping && !n.closed
-	if start {
-		n.sweeping = true
-	}
-	n.mu.Unlock()
-	if start {
-		if n.sched != nil {
-			n.armSweepEvent()
-		} else {
-			go n.sweepLinks()
-		}
-	}
-}
-
-// dropConn removes a dead conn from the registry; no-op for the
-// untracked end of a pair. When the last conn goes, the sweeper is
-// nudged so it can retire instead of idling on its timer.
-func (n *Network) dropConn(c *Conn) {
-	n.mu.Lock()
-	delete(n.conns, c)
-	if len(n.conns) == 0 {
-		n.kickSweeperLocked()
-	}
-	n.mu.Unlock()
-}
-
-// kickSweeperLocked wakes the link sweeper without blocking; callers
-// hold n.mu. The capacity-1 channel coalesces pending kicks.
-func (n *Network) kickSweeperLocked() {
-	select {
-	case n.sweepWake <- struct{}{}:
-	default:
-	}
-}
-
-// sweepLinks is the shared link watchdog: a single goroutine per
-// Network that, every modeled linkCheckInterval, checks the radio link
-// under every live connection and fails the dead ones with ErrLinkLost
-// — the O(1)-goroutine replacement for the per-connection watchdog
-// tickers the simulator started out with, which capped it at tens of
-// devices. It exits when the network closes or the last connection
-// dies, and trackConn restarts it for the next connection.
-func (n *Network) sweepLinks() {
-	interval := n.env.Scale().ToReal(linkCheckInterval)
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	for {
-		select {
-		case <-n.env.Clock().After(interval):
-		case <-n.sweepWake:
-		}
-		n.mu.Lock()
-		if n.closed || len(n.conns) == 0 {
-			n.sweeping = false
-			n.mu.Unlock()
-			return
-		}
-		live := make([]*Conn, 0, len(n.conns))
-		for c := range n.conns {
-			// Hold the pair across the unlocked check below: a tracked
-			// conn always has its user holds outstanding, so the ref can
-			// never resurrect a recycled pair.
-			c.pair.ref()
-			live = append(live, c)
-		}
-		sortConnsDet(live)
-		n.mu.Unlock()
-		// Outside the lock: linkUp re-enters n.mu and failing a conn
-		// re-enters the network to deregister itself.
-		for _, c := range live {
-			if !n.linkUp(c.local, c.remote, c.tech) {
-				n.counters.linkFailures.Add(1)
-				c.failBoth(fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
-			}
-			c.unref()
-		}
-	}
-}
-
 // Partition severs all traffic between two devices regardless of radio
 // range (failure injection).
 func (n *Network) Partition(a, b ids.DeviceID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partitioned[normPair(a, b)] = true
+	n.partGen++
 }
 
 // Heal removes a partition.
@@ -363,6 +286,7 @@ func (n *Network) Heal(a, b ids.DeviceID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.partitioned, normPair(a, b))
+	n.partGen++
 }
 
 // SetBroadcastLoss sets the probability in [0, 1] that any single

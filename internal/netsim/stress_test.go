@@ -243,3 +243,72 @@ func TestStressPartitionChurn(t *testing.T) {
 		t.Fatal("no message ever delivered despite heal windows")
 	}
 }
+
+// TestSendRacingConnFailureReleasesPending: a Send that passes the
+// closed check just before its conn fails can enqueue after the pump
+// has exited and drained its queue. That message must still be
+// released, or Close's flush waiter parks on it forever (the leak
+// checker's waitFlush reports). The race is narrow, so the test
+// repeats it, partitioning the link at varying moments of a send
+// stream.
+func TestSendRacingConnFailureReleasesPending(t *testing.T) {
+	env, net := fastWorld(t)
+	addStatic(t, env, "a", geo.Pt(0, 0), radio.Bluetooth)
+	addStatic(t, env, "b", geo.Pt(5, 0), radio.Bluetooth)
+	l, err := net.Listen("b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	accepted := make(chan *Conn)
+	go func() {
+		for {
+			c, err := l.Accept(ctx)
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		c, err := net.Dial(ctx, "a", "b", radio.Bluetooth, "svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := <-accepted
+		received := make(chan struct{})
+		go func() {
+			defer close(received)
+			for {
+				if _, err := server.Recv(ctx); err != nil {
+					return
+				}
+			}
+		}()
+		sending := make(chan struct{})
+		go func() {
+			defer close(sending)
+			for c.Send([]byte("x")) == nil {
+			}
+		}()
+		time.Sleep(time.Duration(i%7) * 10 * time.Microsecond)
+		net.Partition("a", "b")
+		<-sending
+		<-received
+		flushed := make(chan struct{})
+		go func() {
+			c.pending.Wait()
+			close(flushed)
+		}()
+		select {
+		case <-flushed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: a send that raced the conn's failure is still pending", i)
+		}
+		c.Abort()
+		server.Abort()
+		net.Heal("a", "b")
+	}
+}

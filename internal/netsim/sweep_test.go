@@ -2,12 +2,15 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/des"
+	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/ids"
 	"repro/internal/mobility"
@@ -23,11 +26,28 @@ func countGoroutinesIn(fn string) int {
 	return strings.Count(string(buf[:n]), fn)
 }
 
+// waitSweepers waits, for up to 5 s, until exactly want sweepLinks
+// goroutines are running process-wide.
+func waitSweepers(t *testing.T, want int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for countGoroutinesIn(".sweepLinks") != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: sweepLinks goroutines = %d, want %d",
+				what, countGoroutinesIn(".sweepLinks"), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestLinkSweepIsSharedAcrossConnections is the O(1)-watchdog proof:
 // with 500 idle connections open, exactly one sweepLinks goroutine is
 // running — the goroutine count per connection is the two pumps, not a
 // per-connection watchdog ticker.
 func TestLinkSweepIsSharedAcrossConnections(t *testing.T) {
+	// The count is process-wide: let a sweeper an earlier test's network
+	// left retiring finish first.
+	waitSweepers(t, 0, "before dialing")
 	env := radio.NewEnvironment(radio.WithScale(vtime.NewScale(1e-4)))
 	net := New(env, 1)
 	defer net.Close()
@@ -110,23 +130,12 @@ func TestSweepRetiresWhenIdleAndRestarts(t *testing.T) {
 		c.Abort()
 	}
 	dialOnce()
-	waitFor := func(want int, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for countGoroutinesIn(".sweepLinks") != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: sweepLinks goroutines = %d, want %d",
-					what, countGoroutinesIn(".sweepLinks"), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(0, "after last conn died")
+	waitSweepers(t, 0, "after last conn died")
 	c, err := net.Dial(ctx, "a", "b", radio.WLAN, "svc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(1, "after redial")
+	waitSweepers(t, 1, "after redial")
 	c.Abort()
 }
 
@@ -167,6 +176,224 @@ func TestSweepBreaksIdleConnOnDeparture(t *testing.T) {
 		if _, err := end.Recv(ctx); err == nil || !strings.Contains(err.Error(), "link lost") {
 			t.Fatalf("idle conn error = %v, want ErrLinkLost", err)
 		}
+	}
+}
+
+// sweepWorld is a Bluetooth world of two devices, "a" and "b", whose
+// link sweeps run only when the test steps them, through the engine's
+// own sweeper: the goroutine engine rides a manual clock, the event
+// engine a scheduler nobody starts. Connection setup is free, so dials
+// complete without moving time.
+type sweepWorld struct {
+	env      *radio.Environment
+	net      *Network
+	accepted chan *Conn
+	step     func() // runs exactly one sweep and returns once it is done
+}
+
+func newSweepWorld(t *testing.T, useDES bool, bModel mobility.Model) *sweepWorld {
+	t.Helper()
+	phy := radio.DefaultPHY(radio.Bluetooth)
+	phy.ConnectSetup = 0
+	w := &sweepWorld{accepted: make(chan *Conn)}
+	if useDES {
+		sched := des.NewScheduler(1, 1)
+		w.env = radio.NewEnvironment(radio.WithClock(sched.Clock()), radio.WithPHY(phy))
+		w.net = NewDES(w.env, 1, sched)
+		var at time.Duration
+		w.step = func() {
+			at += linkCheckInterval
+			sched.RunUntil(at)
+		}
+	} else {
+		clk := vtime.NewManual(time.Unix(0, 0))
+		w.env = radio.NewEnvironment(radio.WithClock(clk), radio.WithPHY(phy))
+		w.net = New(w.env, 1)
+		// The sweeper is the only clock waiter in an idle world: it is
+		// parked when Waiters reads 1, and back on its timer once a step
+		// it was woken for has finished.
+		parked := func() {
+			t.Helper()
+			deadline := time.Now().Add(5 * time.Second)
+			for clk.Waiters() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("link sweeper not parked on the clock (%d waiters)", clk.Waiters())
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		w.step = func() {
+			parked()
+			clk.Advance(linkCheckInterval)
+			parked()
+		}
+	}
+	t.Cleanup(w.net.Close)
+	addStatic(t, w.env, "a", geo.Pt(0, 0), radio.Bluetooth)
+	if err := w.env.Add("b", bModel, radio.Bluetooth); err != nil {
+		t.Fatal(err)
+	}
+	l, err := w.net.Listen("b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Close)
+	go func() {
+		for {
+			c, err := l.Accept(context.Background())
+			if err != nil {
+				return
+			}
+			w.accepted <- c
+		}
+	}()
+	return w
+}
+
+// dial opens an idle a -> b connection and returns both ends.
+func (w *sweepWorld) dial(t *testing.T) (*Conn, *Conn) {
+	t.Helper()
+	c, err := w.net.Dial(context.Background(), "a", "b", radio.Bluetooth, "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := <-w.accepted
+	t.Cleanup(func() {
+		c.Abort()
+		server.Abort()
+	})
+	return c, server
+}
+
+// checks reads how many links the network's sweeps have checked.
+func (w *sweepWorld) checks() uint64 {
+	w.net.mu.Lock()
+	defer w.net.mu.Unlock()
+	return w.net.sweepChecks
+}
+
+// requireLinkLost asserts that every end is dead with ErrLinkLost.
+func requireLinkLost(t *testing.T, ends ...*Conn) {
+	t.Helper()
+	for _, end := range ends {
+		if end.Alive() {
+			t.Fatalf("%s end still alive, want it failed with ErrLinkLost", end.Local())
+		}
+		if _, err := end.Recv(context.Background()); !errors.Is(err, ErrLinkLost) {
+			t.Fatalf("%s end: Recv = %v, want ErrLinkLost", end.Local(), err)
+		}
+	}
+}
+
+var sweepEngines = []struct {
+	name   string
+	useDES bool
+}{{"goroutine", false}, {"des", true}}
+
+// TestSweepFailsIdleConnAfterEveryLinkChange pins the change-driven
+// sweep's exactness: once a full sweep has verified a static world, a
+// further sweep checks nothing, yet every change that can break a link
+// between static devices forces the next sweep to find the dead conn.
+func TestSweepFailsIdleConnAfterEveryLinkChange(t *testing.T) {
+	changes := []struct {
+		name   string
+		change func(t *testing.T, w *sweepWorld)
+	}{
+		{"set-model", func(t *testing.T, w *sweepWorld) {
+			if err := w.env.SetModel("b", mobility.Static{At: geo.Pt(1000, 0)}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"power-off", func(t *testing.T, w *sweepWorld) {
+			if err := w.env.SetPowered("b", false); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"remove", func(t *testing.T, w *sweepWorld) { w.env.Remove("b") }},
+		{"partition", func(t *testing.T, w *sweepWorld) { w.net.Partition("a", "b") }},
+		{"fault-partition-window", func(t *testing.T, w *sweepWorld) {
+			w.net.SetFaults(faults.New(1).AddPartition(faults.PartitionWindow{
+				GroupA: []ids.DeviceID{"a"}, GroupB: []ids.DeviceID{"b"}, End: time.Hour,
+			}))
+		}},
+		{"fault-flap", func(t *testing.T, w *sweepWorld) {
+			w.net.SetFaults(faults.New(1).SetLink(faults.LinkProfile{FlapRate: 1}))
+		}},
+	}
+	for _, engine := range sweepEngines {
+		for _, tc := range changes {
+			t.Run(engine.name+"/"+tc.name, func(t *testing.T) {
+				w := newSweepWorld(t, engine.useDES, mobility.Static{At: geo.Pt(5, 0)})
+				client, server := w.dial(t)
+				w.step()
+				w.step()
+				if got := w.checks(); got != 1 {
+					t.Fatalf("two sweeps of an unchanged static world checked %d links, want 1", got)
+				}
+				tc.change(t, w)
+				w.step()
+				requireLinkLost(t, client, server)
+			})
+		}
+	}
+}
+
+// TestSweepFailsIdleConnWhenPeerWalksAway covers the one link change no
+// world mutation announces: a moving peer walks out of range on its
+// own, so while it moves every sweep re-checks every conn.
+func TestSweepFailsIdleConnWhenPeerWalksAway(t *testing.T) {
+	for _, engine := range sweepEngines {
+		t.Run(engine.name, func(t *testing.T) {
+			// b leaves the 10 m Bluetooth range after 5 modeled seconds.
+			w := newSweepWorld(t, engine.useDES, mobility.Linear{Start: geo.Pt(5, 0), Velocity: geo.Vec(1, 0)})
+			client, server := w.dial(t)
+			gen, _ := w.env.Generation()
+			steps := uint64(0)
+			for client.Alive() && steps < 20 {
+				w.step()
+				steps++
+			}
+			if got, _ := w.env.Generation(); got != gen {
+				t.Fatalf("world generation moved %d -> %d; the walk must need no mutation", gen, got)
+			}
+			requireLinkLost(t, client, server)
+			if steps != 6 {
+				t.Errorf("link died at sweep %d, want 6 (first sweep past 5 modeled seconds)", steps)
+			}
+			if got := w.checks(); got != steps {
+				t.Errorf("%d sweeps with a moving peer checked %d links, want one each", steps, got)
+			}
+		})
+	}
+}
+
+// TestSweepChecksOnlyNewConnsInStaticWorld is the sweep's cost pin: in
+// a static world one full sweep verifies every idle conn, a further
+// sweep checks none, and a conn dialed afterwards is checked exactly
+// once.
+func TestSweepChecksOnlyNewConnsInStaticWorld(t *testing.T) {
+	const idleConns = 500
+	for _, engine := range sweepEngines {
+		t.Run(engine.name, func(t *testing.T) {
+			w := newSweepWorld(t, engine.useDES, mobility.Static{At: geo.Pt(5, 0)})
+			for i := 0; i < idleConns; i++ {
+				w.dial(t)
+			}
+			w.step()
+			if got := w.checks(); got != idleConns {
+				t.Fatalf("first sweep checked %d links, want %d", got, idleConns)
+			}
+			w.step()
+			if got := w.checks() - idleConns; got != 0 {
+				t.Fatalf("a sweep of an unchanged static world checked %d links, want 0", got)
+			}
+			w.dial(t)
+			w.step()
+			w.step()
+			if got := w.checks() - idleConns; got != 1 {
+				t.Fatalf("a conn dialed after the full sweep was checked %d times over two sweeps, want 1", got)
+			}
+		})
 	}
 }
 

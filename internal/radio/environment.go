@@ -38,6 +38,7 @@ type Environment struct {
 	phys    map[Technology]PHY
 	devices map[ids.DeviceID]*device
 	gen     uint64 // bumped under mu by every world mutation
+	moving  int    // devices whose model is not mobility.Static, under mu
 
 	// viewMu guards the per-technology query-epoch snapshot cache (a
 	// few recent epochs per technology; see grid.go for the snapshot
@@ -176,6 +177,9 @@ func (e *Environment) Add(id ids.DeviceID, model mobility.Model, techs ...Techno
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
 	e.devices[id] = &device{model: model, radios: radios, powered: true, coverage: true}
+	if moves(model) {
+		e.moving++
+	}
 	e.gen++
 	return nil
 }
@@ -184,6 +188,9 @@ func (e *Environment) Add(id ids.DeviceID, model mobility.Model, techs ...Techno
 func (e *Environment) Remove(id ids.DeviceID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if d, ok := e.devices[id]; ok && moves(d.model) {
+		e.moving--
+	}
 	delete(e.devices, id)
 	e.gen++
 }
@@ -229,9 +236,32 @@ func (e *Environment) SetModel(id ids.DeviceID, model mobility.Model) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
+	if moves(d.model) {
+		e.moving--
+	}
+	if moves(model) {
+		e.moving++
+	}
 	d.model = model
 	e.gen++
 	return nil
+}
+
+// moves reports whether a model can change a device's position over
+// time; only mobility.Static is known not to.
+func moves(m mobility.Model) bool {
+	_, static := m.(mobility.Static)
+	return !static
+}
+
+// Generation reports the world generation, which every Add, Remove,
+// SetPowered, SetCoverage and SetModel bumps, and how many devices
+// carry a model other than mobility.Static. While no device moves and
+// the generation holds, every reachability answer holds too.
+func (e *Environment) Generation() (gen uint64, moving int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.gen, e.moving
 }
 
 // Devices returns all device IDs, sorted, powered or not.

@@ -344,3 +344,31 @@ func TestNeighborsSymmetricProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGenerationCountsMovingDevices pins what the transport's link
+// sweep reads: every world mutation bumps the generation, and the
+// moving count follows Add, SetModel and Remove.
+func TestGenerationCountsMovingDevices(t *testing.T) {
+	env, _ := staticWorld(t)
+	walk := mobility.Linear{Velocity: geo.Vec(1, 0)}
+	gen, _ := env.Generation()
+	step := func(what string, wantMoving int, mutate func() error) {
+		t.Helper()
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		g, moving := env.Generation()
+		if g <= gen || moving != wantMoving {
+			t.Fatalf("%s: generation %d -> %d, moving %d; want a bump and %d moving", what, gen, g, moving, wantMoving)
+		}
+		gen = g
+	}
+	step("add static", 0, func() error { return env.Add("s", nil, Bluetooth) })
+	step("add walker", 1, func() error { return env.Add("w", walk, Bluetooth) })
+	step("walker stops", 0, func() error { return env.SetModel("w", mobility.Static{}) })
+	step("static starts walking", 1, func() error { return env.SetModel("s", walk) })
+	step("power off", 1, func() error { return env.SetPowered("s", false) })
+	step("coverage off", 1, func() error { return env.SetCoverage("w", false) })
+	step("remove walker", 0, func() error { env.Remove("s"); return nil })
+	step("remove static", 0, func() error { env.Remove("w"); return nil })
+}
