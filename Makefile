@@ -89,12 +89,19 @@ DTNBENCH_REQUIRE_SMOKE = BenchmarkDTNDelivery/world=bus/strategy=epidemic/device
 DTNBENCH_REQUIRE = $(DTNBENCH_REQUIRE_SMOKE),BenchmarkDTNDelivery/world=bus/strategy=social/engine=des/devices=200
 DTNBENCH_RATIO   = BenchmarkDTNDelivery/world=bus/strategy=epidemic/devices=200:BenchmarkDTNDelivery/world=bus/strategy=social/devices=200:2:copies/delivered,BenchmarkDTNDelivery/world=campus/strategy=epidemic/devices=200:BenchmarkDTNDelivery/world=campus/strategy=social/devices=200:1.3:copies/delivered
 
-.PHONY: verify build vet phvet vet-baseline test race chaos fuzz bench bench-json bench-smoke bench-oracles
+.PHONY: verify build fmt-check vet phvet vet-baseline test race chaos fuzz bench bench-json bench-smoke bench-oracles
 
-verify: build vet phvet race chaos fuzz bench-smoke bench-oracles
+verify: build fmt-check vet phvet race chaos fuzz bench-smoke bench-oracles
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails on any file gofmt would rewrite. The analyzer
+# fixtures under internal/analysis/testdata/ violate the invariants on
+# purpose and are exempt, as is the benchmark's build directory.
+fmt-check:
+	@out="$$(gofmt -l . | grep -v -e '^internal/analysis/testdata/' -e '^\.bench_build/')"; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

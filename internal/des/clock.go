@@ -38,7 +38,7 @@ func (c desClock) Sleep(d time.Duration) {
 	done := make(chan struct{})
 	seq := c.s.extSeq.Add(1)
 	release := func() { close(done) }
-	c.s.schedule(d, c.s.timerHome(seq), seq, nil, release)
+	c.s.schedule(d, c.s.timerHome(seq), seq, seq, nil, release)
 	<-done
 }
 
@@ -58,7 +58,7 @@ func (c desClock) After(d time.Duration) <-chan time.Time {
 		default:
 		}
 	}
-	c.s.schedule(d, c.s.timerHome(seq), seq, nil, release)
+	c.s.schedule(d, c.s.timerHome(seq), seq, seq, nil, release)
 	return ch
 }
 
@@ -78,7 +78,7 @@ func (s *Scheduler) SleepCtx(ctx context.Context, d time.Duration) error {
 		default:
 		}
 	}
-	s.schedule(d, s.timerHome(seq), seq, nil, release)
+	s.schedule(d, s.timerHome(seq), seq, seq, nil, release)
 	select {
 	case <-done:
 		return nil

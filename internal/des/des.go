@@ -33,7 +33,10 @@
 // equal-time events without giving any fixed home priority. Events
 // scheduled from inside an event derive their sequence from the parent
 // event's key and a per-parent child counter — a pure function of the
-// cascade, so replays are byte-for-byte (TraceHash). Events scheduled
+// cascade, so replays are byte-for-byte (TraceHash). That derivation
+// can give two events one key (children of externally scheduled events
+// on one home), so each event also carries a lineage hash that orders
+// exactly tied keys and stays out of the trace. Events scheduled
 // from outside any event (live goroutines in integrated mode) draw
 // from a global counter and are deterministic only as far as their
 // callers are; the differential suite in internal/simtest holds the
@@ -42,7 +45,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"runtime"
 	"sync"
@@ -104,20 +106,31 @@ type Scheduler struct {
 	jobs    chan poolJob
 	poolWG  sync.WaitGroup
 
+	// passBatches and passIdx are the run loop's pass scratch: the
+	// list of non-empty shard batches and foldTrace's merge cursors,
+	// reused from one pass to the next. Run loop only (runMu).
+	passBatches [][]event
+	passIdx     []int
+
 	stopMu  sync.Mutex
 	stopped bool
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 }
 
-// shard is one home-partitioned event queue.
+// shard is one home-partitioned event queue. batch is the shard's
+// reusable pass buffer: collectAt pops the instant's events into it,
+// and the run loop owns it until the pass's barrier returns.
 type shard struct {
-	mu sync.Mutex
-	q  eventHeap
+	mu    sync.Mutex
+	q     eventHeap
+	batch []event
 }
 
-// event is one scheduled closure. The key (at, tie, home, seq) is the
-// total execution order; fn runs at virtual instant at. release, when
+// event is one scheduled closure, held by value in the shard heaps and
+// pass batches so a comparison reads contiguous memory instead of
+// chasing two pointers. The key (at, tie, home, seq) is the execution
+// order and the trace; fn runs at virtual instant at. release, when
 // set, marks a clock wake (timer fire) that Stop must still deliver so
 // no goroutine stays parked on a dead scheduler.
 type event struct {
@@ -125,14 +138,21 @@ type event struct {
 	tie  uint64
 	home uint64
 	seq  uint64
-	fn   func(ctx *Ctx)
+	// lin is the event's lineage: its own sequence for an event
+	// scheduled from outside, a hash of the parent's lineage and the
+	// child index otherwise. It orders events whose whole key ties —
+	// children of externally scheduled events on one home can share a
+	// sequence, since consecutive parent sequences overlap after the
+	// child index is added — and stays out of the trace hash.
+	lin uint64
+	fn  func(ctx *Ctx)
 	// release unblocks the event's waiter without running fn; nil for
 	// ordinary events.
 	release func()
 }
 
 // less is the total event order: time, then seeded tiebreak, then
-// (home, seq) as the final disambiguator. The shard index never
+// (home, seq), then lineage for a tied key. The shard index never
 // participates, which is what makes the trace shard-count-invariant.
 func (e *event) less(o *event) bool {
 	if e.at != o.at {
@@ -144,22 +164,67 @@ func (e *event) less(o *event) bool {
 	if e.home != o.home {
 		return e.home < o.home
 	}
-	return e.seq < o.seq
+	if e.seq != o.seq {
+		return e.seq < o.seq
+	}
+	return e.lin < o.lin
 }
 
-type eventHeap []*event
+// eventHeap is a 4-ary min-heap of events by value, ordered by less.
+// A 4-ary heap halves the depth of a binary one, and the four children
+// of a node sit next to each other in memory, so a sift touches fewer
+// cache lines; push and pop move a hole instead of swapping.
+type eventHeap []event
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// push adds e, sifting the hole at the tail up to e's slot.
+func (h *eventHeap) push(e event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.less(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+// pop removes and returns the least event, sifting the hole at the
+// root down to where the former tail belongs. The vacated tail slot is
+// zeroed so the backing array keeps no stale closure alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for j, end := c+1, min(c+4, n); j < end; j++ {
+				if q[j].less(&q[m]) {
+					m = j
+				}
+			}
+			if !q[m].less(&last) {
+				break
+			}
+			q[i] = q[m]
+			i = m
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Ctx is the execution context handed to every event. Scheduling
@@ -170,19 +235,20 @@ type Ctx struct {
 	s      *Scheduler
 	home   uint64
 	seq    uint64
+	lin    uint64
 	childN uint64
 }
 
 // Scheduler returns the scheduler this event runs on.
 func (c *Ctx) Scheduler() *Scheduler { return c.s }
 
-// At schedules fn after d (clamped to now) with a sequence derived
-// from this event: child i of event (home, seq) always gets the same
-// key, whatever the shard count.
+// At schedules fn after d (clamped to now) with a sequence and
+// lineage derived from this event: child i of event (home, seq)
+// always gets the same key, whatever the shard count.
 func (c *Ctx) At(d time.Duration, home uint64, fn func(ctx *Ctx)) {
 	c.childN++
 	seq := splitmix64((c.seq ^ splitmix64(c.home)) + c.childN)
-	c.s.schedule(d, home, seq, fn, nil)
+	c.s.schedule(d, home, seq, splitmix64(c.lin^splitmix64(c.childN)), fn, nil)
 }
 
 // NewScheduler returns a scheduler with the given seed and shard
@@ -306,20 +372,22 @@ func (s *Scheduler) NowNS() int64 { return s.nowNS.Load() }
 // globally drawn sequence. Use Ctx.At from inside events when replay
 // determinism of the cascade matters.
 func (s *Scheduler) At(d time.Duration, home uint64, fn func(ctx *Ctx)) {
-	s.schedule(d, home, s.extSeq.Add(1), fn, nil)
+	seq := s.extSeq.Add(1)
+	s.schedule(d, home, seq, seq, fn, nil)
 }
 
 // schedule enqueues one event; release is non-nil for clock wakes.
-func (s *Scheduler) schedule(d time.Duration, home, seq uint64, fn func(ctx *Ctx), release func()) {
+func (s *Scheduler) schedule(d time.Duration, home, seq, lin uint64, fn func(ctx *Ctx), release func()) {
 	if d < 0 {
 		d = 0
 	}
 	at := s.nowNS.Load() + int64(d)
-	e := &event{
+	e := event{
 		at:      at,
 		tie:     splitmix64(s.seed ^ splitmix64(home)*0x9e3779b97f4a7c15 ^ seq),
 		home:    home,
 		seq:     seq,
+		lin:     lin,
 		fn:      fn,
 		release: release,
 	}
@@ -329,7 +397,7 @@ func (s *Scheduler) schedule(d time.Duration, home, seq uint64, fn func(ctx *Ctx
 	s.pending.Add(1)
 	sh := s.shards[home%uint64(len(s.shards))]
 	sh.mu.Lock()
-	heap.Push(&sh.q, e)
+	sh.q.push(e)
 	sh.mu.Unlock()
 	s.Bump()
 	select {
@@ -473,22 +541,28 @@ func (s *Scheduler) runWindow() {
 }
 
 // collectAt pops every event scheduled at instant t, one ordered batch
-// per shard (only non-empty batches are returned).
-func (s *Scheduler) collectAt(t int64) [][]*event {
-	var batches [][]*event
+// per shard (only non-empty batches are returned). The batches live in
+// the shards' reusable buffers and the returned list in the
+// scheduler's pass scratch, both valid until the next collectAt; the
+// previous pass's closures are cleared before a buffer is refilled.
+func (s *Scheduler) collectAt(t int64) [][]event {
+	batches := s.passBatches[:0]
 	popped := 0
 	for _, sh := range s.shards {
+		clear(sh.batch)
+		batch := sh.batch[:0]
 		sh.mu.Lock()
-		var batch []*event
 		for len(sh.q) > 0 && sh.q[0].at == t {
-			batch = append(batch, heap.Pop(&sh.q).(*event))
+			batch = append(batch, sh.q.pop())
 		}
 		sh.mu.Unlock()
+		sh.batch = batch
 		if len(batch) > 0 {
 			popped += len(batch)
 			batches = append(batches, batch)
 		}
 	}
+	s.passBatches = batches
 	if popped > 0 {
 		s.pending.Add(int64(-popped))
 	}
@@ -499,8 +573,9 @@ func (s *Scheduler) collectAt(t int64) [][]*event {
 // order) into the canonical global order and folds their keys into the
 // trace hash. The merge ignores which shard a batch came from — only
 // the key decides — so the hash is shard-count-invariant.
-func (s *Scheduler) foldTrace(batches [][]*event) {
-	idx := make([]int, len(batches))
+func (s *Scheduler) foldTrace(batches [][]event) {
+	idx := append(s.passIdx[:0], make([]int, len(batches))...)
+	s.passIdx = idx
 	h := s.trace.Load()
 	total := 0
 	for {
@@ -509,14 +584,14 @@ func (s *Scheduler) foldTrace(batches [][]*event) {
 			if idx[i] >= len(batch) {
 				continue
 			}
-			if best < 0 || batch[idx[i]].less(batches[best][idx[best]]) {
+			if best < 0 || batch[idx[i]].less(&batches[best][idx[best]]) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := batches[best][idx[best]]
+		e := &batches[best][idx[best]]
 		idx[best]++
 		total++
 		h = fnv1a(h, uint64(e.at))
@@ -538,7 +613,7 @@ func (s *Scheduler) foldTrace(batches [][]*event) {
 // poolless scheduler — runs inline, byte-for-byte the sequential
 // semantics. A panicking event is captured so every executor still
 // reaches the barrier, then rethrown on the run loop.
-func (s *Scheduler) executeBarrier(batches [][]*event) {
+func (s *Scheduler) executeBarrier(batches [][]event) {
 	var pan panicCell
 	if len(batches) == 1 || s.jobs == nil {
 		for _, batch := range batches {
@@ -573,10 +648,11 @@ func (s *Scheduler) executeBarrier(batches [][]*event) {
 
 // runBatch executes one shard batch in key order; a panic skips the
 // batch's remaining events and is parked in pan for the run loop.
-func (s *Scheduler) runBatch(batch []*event, pan *panicCell) {
+func (s *Scheduler) runBatch(batch []event, pan *panicCell) {
 	defer pan.capture()
-	for _, e := range batch {
-		ctx := &Ctx{s: s, home: e.home, seq: e.seq}
+	for i := range batch {
+		e := &batch[i]
+		ctx := &Ctx{s: s, home: e.home, seq: e.seq, lin: e.lin}
 		if e.fn != nil {
 			e.fn(ctx)
 		} else if e.release != nil {
@@ -595,8 +671,8 @@ func (s *Scheduler) drainReleases() {
 		sh.q = nil
 		sh.mu.Unlock()
 		s.pending.Add(int64(-len(q)))
-		for _, e := range q {
-			if e.release != nil {
+		for i := range q {
+			if e := &q[i]; e.release != nil {
 				e.release()
 			}
 		}

@@ -24,11 +24,12 @@ import (
 // pair — but such a pair is leaked to the garbage collector instead of
 // reused.
 type Conn struct {
-	net    *Network
-	local  ids.DeviceID
-	remote ids.DeviceID
-	tech   radio.Technology
-	port   string
+	net *Network
+	// local and remote are the two devices' transport records, resolved
+	// when the dial started.
+	local, remote *node
+	tech          radio.Technology
+	port          string
 
 	// connSeq numbers this connection on its directed dialer pair; with
 	// the pump's per-message index it keys the deterministic fault
@@ -38,6 +39,8 @@ type Conn struct {
 	peer *Conn     // other end
 	pair *connPair // shared allocation unit both ends live in
 
+	// sendQ and recvQ are the goroutine engine's queues; nil on the
+	// event engine, whose ends queue in des.
 	sendQ chan []byte
 	recvQ chan []byte
 
@@ -103,13 +106,12 @@ func (n *Network) recyclePair(p *connPair) {
 	}
 	for i := range p.ends {
 		c := &p.ends[i]
-		drainQ(c.recvQ)
-		if c.sendQ != nil {
-			drainQ(c.sendQ)
-		}
 		if c.des != nil {
 			c.des.drain()
+			continue
 		}
+		drainQ(c.recvQ)
+		drainQ(c.sendQ)
 	}
 	n.pairPool.Put(p)
 }
@@ -128,11 +130,11 @@ func drainQ(q chan []byte) {
 // the dialer end with the network enrolls the pair in the shared link
 // sweep (sweep.go). It returns (dialer end, listener end).
 // Pairs come from the network's pool: connection churn dominated the
-// allocation profile at scale, and the big pieces — the transmit and
-// receive queues, the admission semaphores, the reorder maps — are
-// engine-invariant and survive from one incarnation to the next.
-func newConnPair(n *Network, from, to ids.DeviceID, tech radio.Technology, port string) (*Conn, *Conn) {
-	seq := n.nextConnSeq(from, to)
+// allocation profile at scale, and the big pieces — the goroutine
+// engine's queues, the event engine's admission semaphores and receive
+// buffers — survive from one incarnation to the next.
+func newConnPair(n *Network, from, to *node, tech radio.Technology, port string) (*Conn, *Conn) {
+	seq := n.nextConnSeq(from.dev, to.dev)
 	p, _ := n.pairPool.Get().(*connPair)
 	fresh := p == nil
 	if fresh {
@@ -153,8 +155,10 @@ func newConnPair(n *Network, from, to ids.DeviceID, tech radio.Technology, port 
 		return a, b
 	}
 	if fresh {
-		a.sendQ = make(chan []byte, sendQueueLen)
-		b.sendQ = make(chan []byte, sendQueueLen)
+		for _, c := range []*Conn{a, b} {
+			c.sendQ = make(chan []byte, sendQueueLen)
+			c.recvQ = make(chan []byte, sendQueueLen)
+		}
 	}
 	p.refs.Add(2) // one hold per pump
 	n.trackConn(a)
@@ -167,7 +171,7 @@ func newConnPair(n *Network, from, to ids.DeviceID, tech radio.Technology, port 
 // across incarnations (drained at recycle) — they are the bulk of a
 // pair's allocation cost; the closed channel must be fresh, since the
 // previous incarnation's has fired.
-func (c *Conn) reset(n *Network, p *connPair, local, remote ids.DeviceID, tech radio.Technology, port string, seq uint64) {
+func (c *Conn) reset(n *Network, p *connPair, local, remote *node, tech radio.Technology, port string, seq uint64) {
 	c.net, c.pair = n, p
 	c.local, c.remote, c.tech, c.port, c.connSeq = local, remote, tech, port, seq
 	c.err = nil
@@ -175,16 +179,13 @@ func (c *Conn) reset(n *Network, p *connPair, local, remote ids.DeviceID, tech r
 	c.closed = make(chan struct{})
 	c.failed.Store(false)
 	c.released.Store(false)
-	if c.recvQ == nil {
-		c.recvQ = make(chan []byte, sendQueueLen)
-	}
 }
 
 // Local returns the device this end belongs to.
-func (c *Conn) Local() ids.DeviceID { return c.local }
+func (c *Conn) Local() ids.DeviceID { return c.local.dev }
 
 // Remote returns the device at the other end.
-func (c *Conn) Remote() ids.DeviceID { return c.remote }
+func (c *Conn) Remote() ids.DeviceID { return c.remote.dev }
 
 // Technology returns the radio technology carrying the connection.
 func (c *Conn) Technology() radio.Technology { return c.tech }
@@ -266,6 +267,9 @@ func (c *Conn) send(payload []byte, deadline <-chan time.Time, cancel <-chan str
 func (c *Conn) Recv(ctx context.Context) ([]byte, error) {
 	c.ops.Add(1)
 	defer c.ops.Add(-1)
+	if c.des != nil {
+		return c.desRecv(ctx)
+	}
 	select {
 	case msg := <-c.recvQ:
 		return msg, nil
@@ -415,15 +419,15 @@ func (c *Conn) pump() {
 			if plan != nil {
 				elapsed := c.net.env.Elapsed()
 				transfer = plan.ScaleTransfer(transfer, elapsed)
-				fate = plan.MessageFate(c.local, c.remote, c.connSeq, msgSeq, elapsed)
+				fate = plan.MessageFate(c.local.dev, c.remote.dev, c.connSeq, msgSeq, elapsed)
 				if plan.AffectsEndpoints() {
 					// Endpoint fates: a slow device charges a multiple of the
 					// PHY time for everything it sends; a stalled session
 					// withholds this end's messages — the link stays up and
 					// the other direction keeps flowing, which is the gray
 					// failure shape (connection accepted, replies withheld).
-					transfer = time.Duration(float64(transfer) * plan.ServeScale(c.local, elapsed))
-					if d := plan.StallDelay(c.local, c.remote, c.connSeq, msgSeq, elapsed); d > 0 {
+					transfer = time.Duration(float64(transfer) * plan.ServeScale(c.local.dev, elapsed))
+					if d := plan.StallDelay(c.local.dev, c.remote.dev, c.connSeq, msgSeq, elapsed); d > 0 {
 						select {
 						case <-c.net.env.Clock().After(c.net.env.Scale().ToReal(d)):
 						case <-c.closed:
@@ -436,7 +440,7 @@ func (c *Conn) pump() {
 			// Hold the sender's radio for the transfer (and for every
 			// retransmission): connections sharing one device radio
 			// contend for airtime.
-			tx := c.net.txLock(c.local, c.tech)
+			tx := &c.local.tx[c.tech]
 			for charge := 0; charge <= fate.Retransmits; charge++ {
 				tx.Lock()
 				c.net.sleepModeled(transfer)
@@ -448,20 +452,20 @@ func (c *Conn) pump() {
 			if fate.Reset {
 				c.pending.Done()
 				c.net.counters.linkFailures.Add(1)
-				c.failBoth(fmt.Errorf("%w: %s -> %s over %v (retransmission budget exhausted)", ErrLinkLost, c.local, c.remote, c.tech))
+				c.failBoth(fmt.Errorf("%w: %s -> %s over %v (retransmission budget exhausted)", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
 				return
 			}
 			if fate.Delay > 0 {
 				c.net.sleepModeled(fate.Delay)
 			}
 			if fate.Corrupt {
-				msg = plan.Corrupt(msg, c.local, c.remote, c.connSeq, msgSeq)
+				msg = plan.Corrupt(msg, c.local.dev, c.remote.dev, c.connSeq, msgSeq)
 				c.net.counters.messagesCorrupted.Add(1)
 			}
 			if !c.net.linkUp(c.local, c.remote, c.tech) {
 				c.pending.Done()
 				c.net.counters.linkFailures.Add(1)
-				c.failBoth(fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
+				c.failBoth(fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
 				return
 			}
 			c.net.counters.deliver(len(msg))

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -28,12 +29,15 @@ import (
 //     sequence gate, so even clamped event times cannot reorder);
 //   - airtime is serialized per (device, technology): each message's
 //     transmission starts when the radio frees, holding it for
-//     (1+retransmits) x transfer — the event-time ledger equivalent of
-//     the pump's txLock;
+//     (1+retransmits) x transfer — the event-time ledger (node.freeAt)
+//     equivalent of the pump's transmit lock (node.tx);
 //   - admission backpressure: at most sendQueueLen messages in flight
 //     per direction (the sendQ capacity), with the receive queue
 //     buffering another sendQueueLen, so Send blocks at the same
-//     outstanding-unread depth as the goroutine engine;
+//     outstanding-unread depth as the goroutine engine. The receive
+//     queue is a slice under the end's own lock (delivery already holds
+//     it), not a channel: a channel's buffer is allocated up front,
+//     and a blocking Recv only needs a one-slot wake;
 //   - fate order per message: retransmit accounting, reset, delay,
 //     corruption, link recheck, delivery — byte-for-byte the pump's.
 const (
@@ -63,7 +67,7 @@ type desMsg struct {
 // desConnState is one conn end's event-engine state. The send side
 // (msgSeq, dirFree, slots) covers messages this end transmits; the
 // receive side (nextRecv, early, rbuf) keeps arrivals from the peer in
-// msgSeq order and parks them when the receive queue is full.
+// msgSeq order and parks them when the receive queue (inbox) is full.
 type desConnState struct {
 	// slots is the admission semaphore: sending pushes a token
 	// (blocking at sendQueueLen in flight), delivery/drop pops it.
@@ -77,9 +81,19 @@ type desConnState struct {
 	dirFree int64
 
 	nextRecv uint64
-	early    map[uint64]*desMsg
+	early    map[uint64]*desMsg // made on first use
 	rbuf     []*desMsg
 	armed    bool // a flush retry event is scheduled
+
+	// inbox[head:] is the receive queue: delivered messages not yet
+	// read, at most sendQueueLen of them.
+	inbox [][]byte
+	head  int
+
+	// parked counts blocking Recv callers waiting on an empty inbox;
+	// wake (capacity 1) rouses them when a delivery lands.
+	parked int
+	wake   chan struct{}
 
 	// waiter is the parked RecvEvent continuation (events.go), invoked
 	// by the delivery or teardown event that produces its outcome; nil
@@ -88,13 +102,13 @@ type desConnState struct {
 }
 
 // reset prepares this end's event state for a new pair incarnation.
-// The admission semaphore and reorder map are allocated once and
-// survive recycling; fresh marks a pair that has never been through
-// the pool.
+// The admission semaphore, wake channel, reorder map and receive
+// buffer survive recycling; fresh marks a pair that has never been
+// through the pool.
 func (d *desConnState) reset(fresh bool) {
 	if fresh {
 		d.slots = make(chan struct{}, sendQueueLen)
-		d.early = make(map[uint64]*desMsg)
+		d.wake = make(chan struct{}, 1)
 	}
 	d.msgSeq = 0
 	d.dirFree = 0
@@ -110,25 +124,107 @@ func (d *desConnState) drain() {
 	for len(d.slots) > 0 {
 		<-d.slots
 	}
-	for k := range d.early {
-		delete(d.early, k)
-	}
+	clear(d.early)
 	d.rbuf = d.rbuf[:0]
+	clear(d.inbox)
+	d.inbox, d.head = d.inbox[:0], 0
+	select {
+	case <-d.wake:
+	default:
+	}
 	d.waiter = nil
 }
 
-// desAirFree advances the (device, technology) airtime ledger: the
-// returned start is when the radio frees (or now, if idle), and the
-// radio is then held for busy beyond it.
-func (n *Network) desAirFree(dev ids.DeviceID, tech radio.Technology, now int64, busy time.Duration) (start int64) {
-	key := txKey{dev: dev, tech: tech}
-	n.airMu.Lock()
-	defer n.airMu.Unlock()
-	start = n.airFree[key]
-	if start < now {
-		start = now
+// queued reports how many delivered messages await a reader. Callers
+// hold mu.
+func (d *desConnState) queued() int { return len(d.inbox) - d.head }
+
+// pushLocked appends a delivered message to the receive queue, which
+// the caller has checked has room, and wakes a parked Recv. Callers
+// hold mu.
+func (d *desConnState) pushLocked(msg []byte) {
+	if d.head > 0 && len(d.inbox) == cap(d.inbox) {
+		// Slide the unread tail down before growing.
+		k := copy(d.inbox, d.inbox[d.head:])
+		clear(d.inbox[k:])
+		d.inbox, d.head = d.inbox[:k], 0
 	}
-	n.airFree[key] = start + int64(busy)
+	d.inbox = append(d.inbox, msg)
+	d.wakeLocked()
+}
+
+// popLocked takes the oldest delivered message, waking the next parked
+// Recv if more remain. Callers hold mu.
+func (d *desConnState) popLocked() ([]byte, bool) {
+	if d.head == len(d.inbox) {
+		return nil, false
+	}
+	msg := d.inbox[d.head]
+	d.inbox[d.head] = nil
+	d.head++
+	if d.head == len(d.inbox) {
+		d.inbox, d.head = d.inbox[:0], 0
+	} else {
+		d.wakeLocked()
+	}
+	return msg, true
+}
+
+// wakeLocked signals wake when a blocking Recv is parked; the one slot
+// coalesces signals, and a woken Recv that finds more queued passes
+// the signal on (popLocked). Callers hold mu.
+func (d *desConnState) wakeLocked() {
+	if d.parked == 0 {
+		return
+	}
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// desRecv is the event engine's blocking Recv: take the oldest
+// delivered message, or park on the wake channel until a delivery, the
+// conn's death or ctx. Messages delivered before a link loss remain
+// readable.
+func (c *Conn) desRecv(ctx context.Context) ([]byte, error) {
+	d := c.des
+	for {
+		d.mu.Lock()
+		if msg, ok := d.popLocked(); ok {
+			d.mu.Unlock()
+			return msg, nil
+		}
+		if !c.Alive() {
+			d.mu.Unlock()
+			return nil, c.errOrClosed()
+		}
+		d.parked++
+		d.mu.Unlock()
+		var err error
+		select {
+		case <-d.wake:
+		case <-c.closed:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		d.mu.Lock()
+		d.parked--
+		d.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// claimAir advances the device's airtime ledger for tech: the returned
+// start is when the radio frees (or ready, if idle sooner), and the
+// radio is then held for busy beyond it.
+func (d *node) claimAir(tech radio.Technology, ready int64, busy time.Duration) (start int64) {
+	d.airMu.Lock()
+	defer d.airMu.Unlock()
+	start = max(d.freeAt[tech], ready)
+	d.freeAt[tech] = start + int64(busy)
 	return start
 }
 
@@ -195,10 +291,10 @@ func (c *Conn) desLaunch(msg []byte, at func(d time.Duration, home uint64, fn fu
 	if plan != nil {
 		elapsed := env.Elapsed()
 		transfer = plan.ScaleTransfer(transfer, elapsed)
-		fate = plan.MessageFate(c.local, c.remote, c.connSeq, seq, elapsed)
+		fate = plan.MessageFate(c.local.dev, c.remote.dev, c.connSeq, seq, elapsed)
 		if plan.AffectsEndpoints() {
-			transfer = time.Duration(float64(transfer) * plan.ServeScale(c.local, elapsed))
-			stall = plan.StallDelay(c.local, c.remote, c.connSeq, seq, elapsed)
+			transfer = time.Duration(float64(transfer) * plan.ServeScale(c.local.dev, elapsed))
+			stall = plan.StallDelay(c.local.dev, c.remote.dev, c.connSeq, seq, elapsed)
 		}
 	}
 	charges := time.Duration(1 + fate.Retransmits)
@@ -207,7 +303,7 @@ func (c *Conn) desLaunch(msg []byte, at func(d time.Duration, home uint64, fn fu
 	// The pump's shape: stall first (not holding the radio), then the
 	// radio for every charge, then the fate's extra delay.
 	ready := now + int64(scale.ToReal(stall))
-	txStart := c.net.desAirFree(c.local, c.tech, ready, busy)
+	txStart := c.local.claimAir(c.tech, ready, busy)
 	deliverAt := txStart + int64(busy) + int64(scale.ToReal(fate.Delay))
 	if deliverAt <= d.dirFree {
 		deliverAt = d.dirFree + 1
@@ -218,7 +314,7 @@ func (c *Conn) desLaunch(msg []byte, at func(d time.Duration, home uint64, fn fu
 	c.pending.Add(1)
 	m := &desMsg{seq: seq, payload: msg, fate: fate, plan: plan}
 	c.pair.ref() // the delivery event holds the pair until it runs
-	at(time.Duration(deliverAt-now), homeOf(c.remote), func(ctx *des.Ctx) {
+	at(time.Duration(deliverAt-now), c.remote.home, func(ctx *des.Ctx) {
 		defer c.unref()
 		c.desDeliver(ctx, m)
 	})
@@ -247,17 +343,17 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 	if m.fate.Reset {
 		c.desAbandon()
 		n.counters.linkFailures.Add(1)
-		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v (retransmission budget exhausted)", ErrLinkLost, c.local, c.remote, c.tech))
+		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v (retransmission budget exhausted)", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
 		return
 	}
 	if m.fate.Corrupt {
-		m.payload = m.plan.Corrupt(m.payload, c.local, c.remote, c.connSeq, m.seq)
+		m.payload = m.plan.Corrupt(m.payload, c.local.dev, c.remote.dev, c.connSeq, m.seq)
 		n.counters.messagesCorrupted.Add(1)
 	}
 	if !n.linkUp(c.local, c.remote, c.tech) {
 		c.desAbandon()
 		n.counters.linkFailures.Add(1)
-		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
+		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
 		return
 	}
 	p := c.peer
@@ -265,6 +361,9 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 	if m.seq != p.des.nextRecv {
 		// A clamped event time let this message outrun an earlier one:
 		// park it; the sequence gate delivers it in order.
+		if p.des.early == nil {
+			p.des.early = make(map[uint64]*desMsg)
+		}
 		p.des.early[m.seq] = m
 		p.des.mu.Unlock()
 		return
@@ -278,7 +377,7 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 	p.des.mu.Unlock()
 	if arm {
 		p.pair.ref()
-		ctx.At(n.env.Scale().ToReal(desFlushRetry), homeOf(c.remote), p.desFlushEventRef)
+		ctx.At(n.env.Scale().ToReal(desFlushRetry), p.local.home, p.desFlushEventRef)
 	}
 	if ok {
 		fn(ctx, payload, nil)
@@ -287,21 +386,33 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 
 // desPopWaiterLocked pairs the armed RecvEvent waiter with the next
 // queued payload; both must exist. Callers hold des.mu and invoke the
-// returned continuation after unlocking. This event runs on
-// homeOf(receiver) — the same home every delivery to this end uses —
+// returned continuation after unlocking. This event runs on the
+// receiver's home — the same home every delivery to this end uses —
 // so waiter hand-off order is the event order, not a race.
 func (c *Conn) desPopWaiterLocked() (recvFn, []byte, bool) {
 	if c.des.waiter == nil {
 		return nil, nil, false
 	}
-	select {
-	case msg := <-c.recvQ:
-		fn := c.des.waiter
-		c.des.waiter = nil
-		return fn, msg, true
-	default:
+	msg, ok := c.des.popLocked()
+	if !ok {
 		return nil, nil, false
 	}
+	fn := c.des.waiter
+	c.des.waiter = nil
+	return fn, msg, true
+}
+
+// desWaiterOutcome is a popped waiter's callback after the conn died:
+// the next delivered message if one is left, else the close.
+func (c *Conn) desWaiterOutcome(ctx *des.Ctx, fn recvFn) {
+	c.des.mu.Lock()
+	msg, ok := c.des.popLocked()
+	c.des.mu.Unlock()
+	if ok {
+		fn(ctx, msg, nil)
+		return
+	}
+	fn(ctx, nil, c.errOrClosed())
 }
 
 // desTeardown fails both ends from inside an event: armed RecvEvent
@@ -326,14 +437,9 @@ func (c *Conn) desTeardown(ctx *des.Ctx, err error) {
 		}
 		e, fn := ends[i], fn
 		e.pair.ref()
-		ctx.At(0, homeOf(e.local), func(ctx *des.Ctx) {
+		ctx.At(0, e.local.home, func(ctx *des.Ctx) {
 			defer e.unref()
-			select {
-			case msg := <-e.recvQ:
-				fn(ctx, msg, nil)
-			default:
-				fn(ctx, nil, e.errOrClosed())
-			}
+			e.desWaiterOutcome(ctx, fn)
 		})
 	}
 }
@@ -352,14 +458,9 @@ func (c *Conn) desNotifyWaiter() {
 		return
 	}
 	c.pair.ref()
-	c.net.sched.At(0, homeOf(c.local), func(ctx *des.Ctx) {
+	c.net.sched.At(0, c.local.home, func(ctx *des.Ctx) {
 		defer c.unref()
-		select {
-		case msg := <-c.recvQ:
-			fn(ctx, msg, nil)
-		default:
-			fn(ctx, nil, c.errOrClosed())
-		}
+		c.desWaiterOutcome(ctx, fn)
 	})
 }
 
@@ -387,14 +488,12 @@ func (d *desConnState) enqueueLocked(m *desMsg) {
 // c.peer).
 func (c *Conn) desFlushLocked() bool {
 	for len(c.des.rbuf) > 0 {
-		m := c.des.rbuf[0]
-		c.net.counters.deliver(len(m.payload))
-		select {
-		case c.recvQ <- m.payload:
-		default:
-			c.net.counters.undeliver(len(m.payload))
+		if c.des.queued() >= sendQueueLen {
 			return true // receive queue full: retry event takes over
 		}
+		m := c.des.rbuf[0]
+		c.net.counters.deliver(len(m.payload))
+		c.des.pushLocked(m.payload)
 		c.des.rbuf = c.des.rbuf[1:]
 		c.peer.desRelease()
 	}
@@ -416,7 +515,7 @@ func (c *Conn) desFlushEvent(ctx *des.Ctx) {
 	c.des.mu.Unlock()
 	if again {
 		c.pair.ref()
-		ctx.At(c.net.env.Scale().ToReal(desFlushRetry), homeOf(c.local), c.desFlushEventRef)
+		ctx.At(c.net.env.Scale().ToReal(desFlushRetry), c.local.home, c.desFlushEventRef)
 	}
 	if ok {
 		fn(ctx, payload, nil)

@@ -58,27 +58,28 @@ func (n *Network) DialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radio.Tech
 		fn(ctx, nil, fmt.Errorf("netsim: dial: invalid technology %v", tech))
 		return
 	}
-	if !n.linkUp(from, to, tech) {
+	a, b := n.node(from), n.node(to)
+	if !n.linkUp(a, b, tech) {
 		fn(ctx, nil, fmt.Errorf("%w: %s -> %s over %v", ErrUnreachable, from, to, tech))
 		return
 	}
 	setup := n.env.Scale().ToReal(n.env.PHY(tech).ConnectSetup)
-	ctx.At(setup, homeOf(from), func(ctx *des.Ctx) {
-		n.finishDialEvent(ctx, from, to, tech, port, fn)
+	ctx.At(setup, a.home, func(ctx *des.Ctx) {
+		n.finishDialEvent(ctx, a, b, tech, port, fn)
 	})
 }
 
 // finishDialEvent is the setup-complete half of DialEvent: link
 // recheck (the peer may have walked away while paging), listener
 // lookup, pair construction, accept handoff.
-func (n *Network) finishDialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radio.Technology, port string, fn func(ctx *des.Ctx, c *Conn, err error)) {
+func (n *Network) finishDialEvent(ctx *des.Ctx, from, to *node, tech radio.Technology, port string, fn func(ctx *des.Ctx, c *Conn, err error)) {
 	n.sched.Bump()
 	if !n.linkUp(from, to, tech) {
-		fn(ctx, nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from, to, tech))
+		fn(ctx, nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from.dev, to.dev, tech))
 		return
 	}
 	n.mu.Lock()
-	l, ok := n.listeners[portKey{dev: to, port: port}]
+	l, ok := n.listeners[portKey{dev: to.dev, port: port}]
 	closed := n.closed
 	n.mu.Unlock()
 	if closed {
@@ -86,7 +87,7 @@ func (n *Network) finishDialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radi
 		return
 	}
 	if !ok {
-		fn(ctx, nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to))
+		fn(ctx, nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to.dev))
 		return
 	}
 	local, remote := newConnPair(n, from, to, tech, port)
@@ -99,7 +100,7 @@ func (n *Network) finishDialEvent(ctx *des.Ctx, from, to ids.DeviceID, tech radi
 		default:
 			local.Abort()
 			remote.releaseUser() // never handed to an acceptor
-			fn(ctx, nil, fmt.Errorf("%w: %s on %s (accept backlog full)", ErrNoListener, port, to))
+			fn(ctx, nil, fmt.Errorf("%w: %s on %s (accept backlog full)", ErrNoListener, port, to.dev))
 			return
 		}
 		n.counters.connsEstablished.Add(1)
@@ -186,12 +187,10 @@ func (c *Conn) RecvEvent(ctx *des.Ctx, fn recvFn) {
 	d := c.des
 	d.mu.Lock()
 	c.desFlushLocked()
-	select {
-	case msg := <-c.recvQ:
+	if msg, ok := d.popLocked(); ok {
 		d.mu.Unlock()
 		fn(ctx, msg, nil)
 		return
-	default:
 	}
 	if !c.Alive() {
 		d.mu.Unlock()
@@ -233,7 +232,7 @@ func (c *Conn) CloseEvent(ctx *des.Ctx) {
 func (c *Conn) desCloseFlush(ctx *des.Ctx, tries int) {
 	c.net.sched.Bump()
 	if c.Alive() && len(c.des.slots) > 0 && tries < desCloseRetries {
-		ctx.At(c.net.env.Scale().ToReal(desFlushRetry), homeOf(c.local), func(ctx *des.Ctx) {
+		ctx.At(c.net.env.Scale().ToReal(desFlushRetry), c.local.home, func(ctx *des.Ctx) {
 			c.desCloseFlush(ctx, tries+1)
 		})
 		return

@@ -83,11 +83,10 @@ type Network struct {
 	// deterministic fault draw. Guarded by mu.
 	pairSeq map[dirPair]uint64
 
-	// txLocks serializes transmissions per (device, technology): a
-	// radio is a shared medium, so two connections sending from the
-	// same device over the same technology contend for airtime.
-	txMu    sync.Mutex
-	txLocks map[txKey]*sync.Mutex
+	// nodes holds the transport's one record per device, made on first
+	// use and never dropped (nodeMu guards the map, not the records).
+	nodeMu sync.Mutex
+	nodes  map[ids.DeviceID]*node
 
 	// sched selects the engine: nil runs the goroutine engine (conn
 	// pumps + sweepLinks goroutine); non-nil runs the discrete-event
@@ -96,35 +95,49 @@ type Network struct {
 	// never mutated.
 	sched *des.Scheduler
 
-	// airFree is the event engine's per-(device, technology) airtime
-	// ledger — the virtual instant each radio frees — standing in for
-	// txLocks, which serialize goroutines the event engine doesn't have.
-	airMu   sync.Mutex
-	airFree map[txKey]int64
-
 	// pairPool recycles connPair allocations (conn.go): at scale the
 	// dial/close churn of discovery rounds dominated the allocation
-	// profile, and a pair's queues are engine-invariant, so a released
-	// pair is reset rather than reallocated.
+	// profile, and a released pair keeps its queues and semaphores, so
+	// it is reset rather than reallocated.
 	pairPool sync.Pool
 }
 
-type txKey struct {
-	dev  ids.DeviceID
-	tech radio.Technology
+// techSlots sizes the per-technology arrays of a node; a
+// radio.Technology value indexes them directly.
+const techSlots = int(radio.GPRS) + 1
+
+// node is the transport's record of one device, resolved when a dial
+// starts and held by both conn ends, so per-message work reads it
+// through a pointer instead of hashing the device ID: the radio handle
+// the link checks use, the device's scheduling home, and its radios'
+// airtime.
+type node struct {
+	dev   ids.DeviceID
+	radio radio.Handle
+	home  uint64
+
+	// tx serializes the goroutine engine's transmissions per
+	// technology: a radio is a shared medium, so two connections sending
+	// from the same device over the same technology contend for airtime.
+	tx [techSlots]sync.Mutex
+
+	// freeAt is the event engine's stand-in for tx: per technology,
+	// the virtual instant (scheduler ns) the radio frees. Guarded by
+	// airMu.
+	airMu  sync.Mutex
+	freeAt [techSlots]int64
 }
 
-// txLock returns the transmit mutex for a device radio.
-func (n *Network) txLock(dev ids.DeviceID, tech radio.Technology) *sync.Mutex {
-	n.txMu.Lock()
-	defer n.txMu.Unlock()
-	key := txKey{dev: dev, tech: tech}
-	l, ok := n.txLocks[key]
-	if !ok {
-		l = &sync.Mutex{}
-		n.txLocks[key] = l
+// node returns dev's transport record, making it on first use.
+func (n *Network) node(dev ids.DeviceID) *node {
+	n.nodeMu.Lock()
+	defer n.nodeMu.Unlock()
+	d := n.nodes[dev]
+	if d == nil {
+		d = &node{dev: dev, radio: n.env.Resolve(dev), home: homeOf(dev)}
+		n.nodes[dev] = d
 	}
-	return l
+	return d
 }
 
 type portKey struct {
@@ -159,7 +172,7 @@ func New(env *radio.Environment, seed int64) *Network {
 		subscribers: make(map[portKey][]*BroadcastSub),
 		partitioned: make(map[devPair]bool),
 		rng:         rand.New(rand.NewSource(seed)),
-		txLocks:     make(map[txKey]*sync.Mutex),
+		nodes:       make(map[ids.DeviceID]*node),
 		conns:       make(map[*Conn]bool),
 		unswept:     make(map[*Conn]bool),
 		sweepWake:   make(chan struct{}, 1),
@@ -177,7 +190,6 @@ func New(env *radio.Environment, seed int64) *Network {
 func NewDES(env *radio.Environment, seed int64, sched *des.Scheduler) *Network {
 	n := New(env, seed)
 	n.sched = sched
-	n.airFree = make(map[txKey]int64)
 	return n
 }
 
@@ -209,11 +221,11 @@ func (n *Network) faultPlan() *faults.Plan { return n.plan.Load() }
 func sortConnsDet(conns []*Conn) {
 	sort.Slice(conns, func(i, j int) bool {
 		a, b := conns[i], conns[j]
-		if a.local != b.local {
-			return a.local < b.local
+		if a.local.dev != b.local.dev {
+			return a.local.dev < b.local.dev
 		}
-		if a.remote != b.remote {
-			return a.remote < b.remote
+		if a.remote.dev != b.remote.dev {
+			return a.remote.dev < b.remote.dev
 		}
 		return a.connSeq < b.connSeq
 	})
@@ -304,18 +316,18 @@ func (n *Network) SetBroadcastLoss(rate float64) {
 }
 
 // linkUp reports whether traffic may flow between two devices now.
-func (n *Network) linkUp(a, b ids.DeviceID, tech radio.Technology) bool {
+func (n *Network) linkUp(a, b *node, tech radio.Technology) bool {
 	n.mu.Lock()
-	part := n.partitioned[normPair(a, b)]
+	part := n.partitioned[normPair(a.dev, b.dev)]
 	closed := n.closed
 	n.mu.Unlock()
 	if closed || part {
 		return false
 	}
-	if plan := n.faultPlan(); plan.SeversLinks() && plan.LinkDown(a, b, n.env.Elapsed()) {
+	if plan := n.faultPlan(); plan.SeversLinks() && plan.LinkDown(a.dev, b.dev, n.env.Elapsed()) {
 		return false
 	}
-	return n.env.Reachable(a, b, tech)
+	return a.radio.ReachableAt(b.radio, tech, n.env.Elapsed())
 }
 
 // sleepModeled sleeps a modeled duration on the environment's clock,
@@ -360,7 +372,8 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 	if !tech.Valid() {
 		return nil, fmt.Errorf("netsim: dial: invalid technology %v", tech)
 	}
-	if !n.linkUp(from, to, tech) {
+	a, b := n.node(from), n.node(to)
+	if !n.linkUp(a, b, tech) {
 		return nil, fmt.Errorf("%w: %s -> %s over %v", ErrUnreachable, from, to, tech)
 	}
 	phy := n.env.PHY(tech)
@@ -370,7 +383,7 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 	case <-n.env.Clock().After(n.env.Scale().ToReal(phy.ConnectSetup)):
 	}
 	// Re-check after setup: the peer may have walked away while paging.
-	if !n.linkUp(from, to, tech) {
+	if !n.linkUp(a, b, tech) {
 		return nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from, to, tech)
 	}
 	n.mu.Lock()
@@ -384,7 +397,7 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 		return nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to)
 	}
 
-	local, remote := newConnPair(n, from, to, tech, port)
+	local, remote := newConnPair(n, a, b, tech, port)
 	select {
 	case l.incoming <- remote:
 		n.counters.connsEstablished.Add(1)

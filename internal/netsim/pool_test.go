@@ -2,7 +2,9 @@ package netsim_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/geo"
@@ -18,13 +20,23 @@ import (
 // steady-state dial + request/reply + close cycle must not reallocate
 // the pair or its queues. The ceilings below have slack for the
 // per-cycle incidentals (fresh closed channels, payload copies, timer
-// and event bookkeeping) but sit far under the cost of one unpooled
-// pair: its two receive queues alone are ~12 KB, several allocations
-// each.
+// and event bookkeeping) but sit under the cost of one unpooled pair,
+// several allocations on top of a pooled cycle. A goroutine-engine
+// pair's four channel queues hold ~24 KB of buffer; a DES pair's
+// receive queues are slices that grow with use, so a fresh one costs
+// ~2 KB, dial included.
 
-// poolCeilingAllocs bounds average allocations per cycle; an unpooled
-// pair adds ~10 on top of a pooled cycle's incidentals.
+// poolCeilingAllocs bounds average allocations per cycle on the
+// goroutine engine (measured 29).
 const poolCeilingAllocs = 60
+
+// desPoolCeilingAllocs bounds average allocations per cycle on the
+// event engine (measured 32).
+const desPoolCeilingAllocs = 40
+
+// pairFootprintCeiling bounds the bytes one fresh DES pair allocates,
+// dial included (measured 2 018; channel receive queues made it ~15 KB).
+const pairFootprintCeiling = 4096
 
 // buildPoolWorld places two devices in Bluetooth range and starts a
 // serial echo server on one of them.
@@ -108,11 +120,75 @@ func TestConnPairAllocsPinned(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				cycle()
 			}
+			ceiling := poolCeilingAllocs
+			if useDES {
+				ceiling = desPoolCeilingAllocs
+			}
 			avg := testing.AllocsPerRun(200, cycle)
-			if avg > poolCeilingAllocs {
-				t.Fatalf("dial cycle allocates %.1f objects on average, ceiling %d: conn-pair pooling regressed", avg, poolCeilingAllocs)
+			if avg > float64(ceiling) {
+				t.Fatalf("dial cycle allocates %.1f objects on average, ceiling %d: conn-pair pooling regressed", avg, ceiling)
 			}
 			t.Logf("%s: %.1f allocs per dial cycle", name, avg)
 		})
 	}
+}
+
+// TestConnPairFootprintPinned pins the bytes a fresh event-engine pair
+// allocates, dial included: a pair the pool cannot supply must stay a
+// few small allocations. DES ends queue delivered messages in a slice
+// that grows with use; a channel-buffered receive queue would put
+// sendQueueLen slice headers (6 KB) on every end up front.
+func TestConnPairFootprintPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates per sync event; the pin only means anything uninstrumented")
+	}
+	sched := des.NewScheduler(1, 2)
+	sched.SetWorkers(1)
+	env := radio.NewEnvironment(radio.WithClock(sched.Clock()))
+	for _, dev := range []string{"pool-a", "pool-b"} {
+		if err := env.Add(ids.DeviceID(dev), mobility.Static{At: geo.Pt(1, 1)}, radio.Bluetooth); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net := netsim.NewDES(env, 1, sched)
+	defer net.Close()
+	l, err := net.Listen(ids.DeviceID("pool-b"), "hold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both ends of every pair stay open, so each dial needs a fresh pair.
+	var held []*netsim.Conn
+	l.AcceptEvent(func(ctx *des.Ctx, c *netsim.Conn) { held = append(held, c) })
+	setup := env.PHY(radio.Bluetooth).ConnectSetup
+	horizon := time.Duration(0)
+	dial := func(n int) {
+		for i := 0; i < n; i++ {
+			sched.At(0, 1, func(ctx *des.Ctx) {
+				net.DialEvent(ctx, ids.DeviceID("pool-a"), ids.DeviceID("pool-b"), radio.Bluetooth, "hold", func(ctx *des.Ctx, c *netsim.Conn, err error) {
+					if err != nil {
+						t.Errorf("dial: %v", err)
+						return
+					}
+					held = append(held, c)
+				})
+			})
+		}
+		horizon += 2 * setup
+		sched.RunUntil(horizon)
+	}
+	dial(16) // warm the network's maps and the sweep
+	const pairs = 256
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dial(pairs)
+	runtime.ReadMemStats(&after)
+	if len(held) != 2*(16+pairs) {
+		t.Fatalf("%d ends held, want %d", len(held), 2*(16+pairs))
+	}
+	perPair := float64(after.TotalAlloc-before.TotalAlloc) / pairs
+	if perPair > pairFootprintCeiling {
+		t.Fatalf("a fresh DES pair allocates %.0f B (dial included), ceiling %d B: receive queues went back to preallocated buffers?", perPair, pairFootprintCeiling)
+	}
+	t.Logf("%.0f B per fresh DES pair, dial included", perPair)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/geo"
 	"repro/internal/ids"
 	"repro/internal/radio"
@@ -310,5 +311,68 @@ func TestSendRacingConnFailureReleasesPending(t *testing.T) {
 		c.Abort()
 		server.Abort()
 		net.Heal("a", "b")
+	}
+}
+
+// TestDESRecvWakesEveryParkedReader parks several goroutines in one
+// blocking Recv each on an event-engine end, then lands as many
+// messages in one critical section, as a flush does when it moves a
+// backlog: every parked reader must wake and get exactly one message.
+func TestDESRecvWakesEveryParkedReader(t *testing.T) {
+	sched := des.NewScheduler(1, 2)
+	env := radio.NewEnvironment(WithTestScale(), radio.WithClock(sched.Clock()))
+	addStatic(t, env, "a", geo.Pt(0, 0), radio.Bluetooth)
+	addStatic(t, env, "b", geo.Pt(1, 0), radio.Bluetooth)
+	net := NewDES(env, 1, sched)
+	sched.Start()
+	defer sched.Stop()
+	defer net.Close()
+	dialed, served := dialPair(t, net, "a", "b", radio.Bluetooth, "burst")
+	defer dialed.Abort()
+	defer served.Abort()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	const readers = 8
+	got := make(chan string, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			msg, err := served.Recv(ctx)
+			if err != nil {
+				t.Errorf("reader: %v", err)
+				return
+			}
+			got <- string(msg)
+		}()
+	}
+	d := served.des
+	for parked := 0; parked < readers; {
+		if ctx.Err() != nil {
+			t.Fatalf("only %d readers parked", parked)
+		}
+		time.Sleep(time.Millisecond)
+		d.mu.Lock()
+		parked = d.parked
+		d.mu.Unlock()
+	}
+	d.mu.Lock()
+	for i := 0; i < readers; i++ {
+		d.pushLocked([]byte(fmt.Sprintf("m%d", i)))
+	}
+	d.mu.Unlock()
+	wg.Wait()
+	close(got)
+	seen := make(map[string]bool)
+	for m := range got {
+		if seen[m] {
+			t.Fatalf("message %s read twice", m)
+		}
+		seen[m] = true
+	}
+	if len(seen) != readers {
+		t.Fatalf("%d of %d parked readers got a message", len(seen), readers)
 	}
 }

@@ -152,7 +152,7 @@ func (n *Network) sweepStep(teardown func(c *Conn, err error)) bool {
 	sortConnsDet(dead)
 	for _, c := range dead {
 		n.counters.linkFailures.Add(1)
-		teardown(c, fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local, c.remote, c.tech))
+		teardown(c, fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
 		c.unref()
 	}
 	return true

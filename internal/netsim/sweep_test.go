@@ -475,7 +475,7 @@ func TestBroadcastTargetsMatchPerPairOracle(t *testing.T) {
 			}
 			want := make(map[ids.DeviceID]bool)
 			for id := range subs {
-				if net.linkUp(from, id, tech) {
+				if net.linkUp(net.node(from), net.node(id), tech) {
 					want[id] = true
 				}
 			}

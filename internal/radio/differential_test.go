@@ -201,7 +201,7 @@ func TestGridBoundaryExactRange(t *testing.T) {
 	mustAdd("at-range", geo.Pt(r, 0))
 	mustAdd("beyond", geo.Pt(r+1e-9, 0))
 	mustAdd("diagonal", geo.Pt(r/2, r/2)) // inside on the diagonal, in a neighboring cell
-	mustAdd("negative", geo.Pt(-r, 0))                    // exactly at range across the cell-0 boundary
+	mustAdd("negative", geo.Pt(-r, 0))    // exactly at range across the cell-0 boundary
 
 	got := env.Neighbors("center", Bluetooth)
 	want := env.NeighborsBrute("center", Bluetooth)

@@ -1,9 +1,10 @@
 package radio
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,8 +35,13 @@ type Environment struct {
 	scale vtime.Scale
 	start time.Time
 
+	// phys is indexed by Technology; set by the options and never
+	// written again, so it is read without the lock.
+	phys [techSlots]PHY
+
+	// devices holds one record per ID ever added or resolved, present
+	// or not. Guarded by mu.
 	mu      sync.RWMutex
-	phys    map[Technology]PHY
 	devices map[ids.DeviceID]*device
 	gen     uint64 // bumped under mu by every world mutation
 	moving  int    // devices whose model is not mobility.Static, under mu
@@ -92,9 +98,22 @@ func (e *Environment) filterInquiry(id ids.DeviceID, tech Technology, elapsed ti
 	return out
 }
 
+// techSlots sizes the per-technology arrays; a Technology value
+// indexes them directly.
+const techSlots = int(GPRS) + 1
+
+// inSlots reports whether t indexes the per-technology arrays.
+func inSlots(t Technology) bool { return t >= 0 && int(t) < techSlots }
+
+// device is the one record an ID ever gets: Remove clears present and
+// re-Add sets it again, so a Handle resolved at any time reads the
+// same record a lookup by ID would. Fields are guarded by
+// Environment.mu.
 type device struct {
+	id       ids.DeviceID
+	present  bool // in the world: between Add and Remove
 	model    mobility.Model
-	radios   map[Technology]bool
+	radios   [techSlots]bool
 	powered  bool
 	coverage bool // inside cellular coverage (GPRS)
 }
@@ -114,7 +133,11 @@ func WithScale(s vtime.Scale) Option {
 
 // WithPHY overrides the physical model of one technology.
 func WithPHY(p PHY) Option {
-	return func(e *Environment) { e.phys[p.Tech] = p }
+	return func(e *Environment) {
+		if inSlots(p.Tech) {
+			e.phys[p.Tech] = p
+		}
+	}
 }
 
 // NewEnvironment returns an empty world.
@@ -122,7 +145,6 @@ func NewEnvironment(opts ...Option) *Environment {
 	e := &Environment{
 		clock:   vtime.Real(),
 		scale:   vtime.Identity(),
-		phys:    make(map[Technology]PHY),
 		devices: make(map[ids.DeviceID]*device),
 		views:   make(map[Technology][]*worldView),
 	}
@@ -144,8 +166,9 @@ func (e *Environment) Scale() vtime.Scale { return e.scale }
 
 // PHY returns the physical model for a technology.
 func (e *Environment) PHY(t Technology) PHY {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	if !inSlots(t) {
+		return PHY{}
+	}
 	return e.phys[t]
 }
 
@@ -164,7 +187,7 @@ func (e *Environment) Add(id ids.DeviceID, model mobility.Model, techs ...Techno
 	if model == nil {
 		model = mobility.Static{}
 	}
-	radios := make(map[Technology]bool, len(techs))
+	var radios [techSlots]bool
 	for _, t := range techs {
 		if !t.Valid() {
 			return fmt.Errorf("radio: invalid technology %v", t)
@@ -173,10 +196,11 @@ func (e *Environment) Add(id ids.DeviceID, model mobility.Model, techs ...Techno
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.devices[id]; ok {
+	d := e.recordLocked(id)
+	if d.present {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	e.devices[id] = &device{model: model, radios: radios, powered: true, coverage: true}
+	d.present, d.model, d.radios, d.powered, d.coverage = true, model, radios, true, true
 	if moves(model) {
 		e.moving++
 	}
@@ -184,15 +208,38 @@ func (e *Environment) Add(id ids.DeviceID, model mobility.Model, techs ...Techno
 	return nil
 }
 
-// Remove deletes a device from the world.
+// Remove deletes a device from the world. Its record stays, absent, so
+// handles resolved before keep answering as lookups by ID do.
 func (e *Environment) Remove(id ids.DeviceID) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if d, ok := e.devices[id]; ok && moves(d.model) {
-		e.moving--
+	if d := e.lookupLocked(id); d != nil {
+		if moves(d.model) {
+			e.moving--
+		}
+		d.present = false
 	}
-	delete(e.devices, id)
 	e.gen++
+}
+
+// recordLocked returns id's record, making an absent one on first use.
+// Callers hold e.mu for writing.
+func (e *Environment) recordLocked(id ids.DeviceID) *device {
+	d, ok := e.devices[id]
+	if !ok {
+		d = &device{id: id}
+		e.devices[id] = d
+	}
+	return d
+}
+
+// lookupLocked returns id's record if the device is in the world, or
+// nil. Callers hold e.mu.
+func (e *Environment) lookupLocked(id ids.DeviceID) *device {
+	if d := e.devices[id]; d != nil && d.present {
+		return d
+	}
+	return nil
 }
 
 // SetPowered turns a device's radios on or off; a powered-off device is
@@ -200,8 +247,8 @@ func (e *Environment) Remove(id ids.DeviceID) {
 func (e *Environment) SetPowered(id ids.DeviceID, on bool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	if !ok {
+	d := e.lookupLocked(id)
+	if d == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
 	d.powered = on
@@ -214,8 +261,8 @@ func (e *Environment) SetPowered(id ids.DeviceID, on bool) error {
 func (e *Environment) SetCoverage(id ids.DeviceID, covered bool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	if !ok {
+	d := e.lookupLocked(id)
+	if d == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
 	d.coverage = covered
@@ -232,8 +279,8 @@ func (e *Environment) SetModel(id ids.DeviceID, model mobility.Model) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d, ok := e.devices[id]
-	if !ok {
+	d := e.lookupLocked(id)
+	if d == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
 	if moves(d.model) {
@@ -269,10 +316,12 @@ func (e *Environment) Devices() []ids.DeviceID {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	out := make([]ids.DeviceID, 0, len(e.devices))
-	for id := range e.devices {
-		out = append(out, id)
+	for _, d := range e.devices {
+		if d.present {
+			out = append(out, d.id)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -280,8 +329,7 @@ func (e *Environment) Devices() []ids.DeviceID {
 func (e *Environment) Has(id ids.DeviceID) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	_, ok := e.devices[id]
-	return ok
+	return e.lookupLocked(id) != nil
 }
 
 // Position returns a device's current position.
@@ -294,12 +342,12 @@ func (e *Environment) Position(id ids.DeviceID) (geo.Point, error) {
 func (e *Environment) PositionAt(id ids.DeviceID, elapsed time.Duration) (geo.Point, error) {
 	e.mu.RLock()
 	var model mobility.Model
-	d, ok := e.devices[id]
-	if ok {
+	d := e.lookupLocked(id)
+	if d != nil {
 		model = d.model
 	}
 	e.mu.RUnlock()
-	if !ok {
+	if d == nil {
 		return geo.Point{}, fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
 	return model.Position(elapsed), nil
@@ -316,57 +364,75 @@ func (e *Environment) Reachable(a, b ids.DeviceID, tech Technology) bool {
 	return e.ReachableAt(a, b, tech, e.Elapsed())
 }
 
-// ReachableAt is Reachable at an explicit modeled elapsed time.
+// ReachableAt is Reachable at an explicit modeled elapsed time. It
+// looks both IDs up and runs the same check a Handle runs.
 func (e *Environment) ReachableAt(a, b ids.DeviceID, tech Technology, elapsed time.Duration) bool {
-	return e.reachableAt(a, b, tech, elapsed)
+	e.mu.RLock()
+	da, db := e.devices[a], e.devices[b]
+	e.mu.RUnlock()
+	return e.reachable(da, db, tech, elapsed)
 }
 
-// deviceSnapshot copies the mutable device fields under the lock so
-// reachability checks never race with SetPowered/SetModel/SetCoverage.
-type deviceSnapshot struct {
-	model    mobility.Model
-	powered  bool
-	coverage bool
-	hasRadio bool
+// Handle is a device resolved once, for callers that check the same
+// devices' links over and over (the transport checks a link several
+// times per message exchange): it reaches the device's record with no
+// map lookup. A handle follows its ID through Remove and re-Add and
+// may be resolved before the ID is ever added; at every moment it
+// answers exactly as a lookup by that ID would. The zero Handle is
+// never reachable.
+type Handle struct {
+	e *Environment
+	d *device
 }
 
-// snapshotLocked copies one device's state for a technology. Callers
-// hold e.mu (read or write).
-func (e *Environment) snapshotLocked(id ids.DeviceID, tech Technology) (deviceSnapshot, bool) {
-	d, ok := e.devices[id]
-	if !ok {
-		return deviceSnapshot{}, false
+// Resolve returns the handle for id, making the ID's record if the
+// device has never been added.
+func (e *Environment) Resolve(id ids.DeviceID) Handle {
+	e.mu.RLock()
+	d := e.devices[id]
+	e.mu.RUnlock()
+	if d == nil {
+		e.mu.Lock()
+		d = e.recordLocked(id)
+		e.mu.Unlock()
 	}
-	return deviceSnapshot{
-		model:    d.model,
-		powered:  d.powered,
-		coverage: d.coverage,
-		hasRadio: d.radios[tech],
-	}, true
+	return Handle{e: e, d: d}
 }
 
-func (e *Environment) reachableAt(a, b ids.DeviceID, tech Technology, elapsed time.Duration) bool {
-	if a == b {
+// ReachableAt reports whether a message can pass from h to o over tech
+// at the given modeled elapsed time; both handles must come from the
+// same Environment. It is Environment.ReachableAt without the lookups.
+func (h Handle) ReachableAt(o Handle, tech Technology, elapsed time.Duration) bool {
+	if h.e == nil {
+		return false
+	}
+	return h.e.reachable(h.d, o.d, tech, elapsed)
+}
+
+// reachable is the one pair check behind ReachableAt, Handle and the
+// brute-force neighbor oracle: both devices in the world, powered and
+// carrying the radio, and within the PHY range (or both covered, for
+// cellular). The record reads happen under e.mu so they never race
+// with SetPowered/SetModel/SetCoverage; positions are evaluated
+// outside it.
+func (e *Environment) reachable(a, b *device, tech Technology, elapsed time.Duration) bool {
+	if a == nil || b == nil || a == b || !tech.Valid() {
 		return false
 	}
 	e.mu.RLock()
-	sa, okA := e.snapshotLocked(a, tech)
-	sb, okB := e.snapshotLocked(b, tech)
-	phy, okPHY := e.phys[tech]
+	up := a.present && b.present && a.powered && b.powered && a.radios[tech] && b.radios[tech]
+	covered := a.coverage && b.coverage
+	ma, mb := a.model, b.model
 	e.mu.RUnlock()
-	if !okA || !okB || !okPHY {
+	if !up {
 		return false
 	}
-	if !sa.powered || !sb.powered || !sa.hasRadio || !sb.hasRadio {
-		return false
-	}
+	phy := e.phys[tech]
 	if phy.Unlimited() {
 		// Cellular: geometric position is irrelevant; coverage matters.
-		return sa.coverage && sb.coverage
+		return covered
 	}
-	pa := sa.model.Position(elapsed)
-	pb := sb.model.Position(elapsed)
-	return pa.DistanceTo(pb) <= phy.Range
+	return ma.Position(elapsed).DistanceTo(mb.Position(elapsed)) <= phy.Range
 }
 
 // Neighbors returns the devices currently reachable from id over the
@@ -398,23 +464,21 @@ func (e *Environment) NeighborsBrute(id ids.DeviceID, tech Technology) []ids.Dev
 // time.
 func (e *Environment) NeighborsBruteAt(id ids.DeviceID, tech Technology, elapsed time.Duration) []ids.DeviceID {
 	e.mu.RLock()
-	self, ok := e.snapshotLocked(id, tech)
-	all := make([]ids.DeviceID, 0, len(e.devices))
-	for other := range e.devices {
-		all = append(all, other)
-	}
-	e.mu.RUnlock()
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	if !ok || !self.powered || !self.hasRadio {
-		return nil
-	}
-	var out []ids.DeviceID
-	for _, other := range all {
-		if e.reachableAt(id, other, tech, elapsed) {
-			out = append(out, other)
+	self := e.lookupLocked(id)
+	var all []*device
+	for _, d := range e.devices {
+		if d.present {
+			all = append(all, d)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	e.mu.RUnlock()
+	slices.SortFunc(all, func(a, b *device) int { return cmp.Compare(a.id, b.id) })
+	var out []ids.DeviceID
+	for _, other := range all {
+		if e.reachable(self, other, tech, elapsed) {
+			out = append(out, other.id)
+		}
+	}
 	return e.filterInquiry(id, tech, elapsed, out)
 }
 
@@ -447,8 +511,8 @@ func (e *Environment) Signal(a, b ids.DeviceID, tech Technology) float64 {
 func (e *Environment) Technologies(id ids.DeviceID) []Technology {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	d, ok := e.devices[id]
-	if !ok {
+	d := e.lookupLocked(id)
+	if d == nil {
 		return nil
 	}
 	var out []Technology

@@ -1,8 +1,9 @@
 package radio
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -34,25 +35,29 @@ type cellKey struct {
 	x, y int64
 }
 
-// viewDevice is one device's frozen state inside a worldView.
-type viewDevice struct {
-	pos      geo.Point
+// viewState is one device's frozen flags inside a worldView.
+type viewState struct {
 	powered  bool
 	coverage bool
 	hasRadio bool
 }
 
 // worldView is an immutable snapshot of the world for one technology at
-// one query epoch. Once built it is read without locks.
+// one query epoch. Once built it is read without locks. Devices sit in
+// parallel slices sorted by ID, so a device's index orders it exactly
+// as its ID does: grid cells hold indices, a query finds itself by
+// binary search and sorts the indices it found instead of strings.
 type worldView struct {
 	elapsed time.Duration
 	gen     uint64
 	phy     PHY
-	valid   bool // the technology has a PHY at all
-	devs    map[ids.DeviceID]viewDevice
+	valid   bool // a real technology, one devices can carry
+	ids     []ids.DeviceID
+	pos     []geo.Point
+	state   []viewState
 	// grid holds only devices eligible to carry traffic (powered, radio
 	// present); nil for unlimited-range technologies.
-	grid map[cellKey][]ids.DeviceID
+	grid map[cellKey][]int32
 	cell float64
 }
 
@@ -121,46 +126,45 @@ func (e *Environment) cachedView(tech Technology, elapsed time.Duration, gen uin
 // do their own locking and memoization).
 func (e *Environment) buildView(tech Technology, elapsed time.Duration) *worldView {
 	type devCopy struct {
-		id       ids.DeviceID
-		model    mobility.Model
-		powered  bool
-		coverage bool
-		hasRadio bool
+		id    ids.DeviceID
+		model mobility.Model
+		viewState
 	}
+	valid := tech.Valid()
 	e.mu.RLock()
 	gen := e.gen
-	phy, valid := e.phys[tech]
 	copies := make([]devCopy, 0, len(e.devices))
-	for id, d := range e.devices {
-		copies = append(copies, devCopy{
-			id: id, model: d.model,
-			powered: d.powered, coverage: d.coverage, hasRadio: d.radios[tech],
-		})
+	for _, d := range e.devices {
+		if !d.present {
+			continue
+		}
+		st := viewState{powered: d.powered, coverage: d.coverage, hasRadio: valid && d.radios[tech]}
+		copies = append(copies, devCopy{id: d.id, model: d.model, viewState: st})
 	}
 	e.mu.RUnlock()
-	// Build cell buckets in device order: queries sort their output, but
-	// a deterministic view also keeps bucket layout reproducible for
-	// anything that iterates cells directly.
-	sort.Slice(copies, func(i, j int) bool { return copies[i].id < copies[j].id })
+	slices.SortFunc(copies, func(a, b devCopy) int { return cmp.Compare(a.id, b.id) })
 
+	phy := e.PHY(tech)
 	v := &worldView{
 		elapsed: elapsed,
 		gen:     gen,
 		phy:     phy,
 		valid:   valid,
-		devs:    make(map[ids.DeviceID]viewDevice, len(copies)),
+		ids:     make([]ids.DeviceID, len(copies)),
+		pos:     make([]geo.Point, len(copies)),
+		state:   make([]viewState, len(copies)),
 		cell:    phy.Range,
 	}
 	ranged := valid && !phy.Unlimited()
 	if ranged {
-		v.grid = make(map[cellKey][]ids.DeviceID, len(copies))
+		v.grid = make(map[cellKey][]int32, len(copies))
 	}
-	for _, c := range copies {
+	for i, c := range copies {
 		pos := c.model.Position(elapsed)
-		v.devs[c.id] = viewDevice{pos: pos, powered: c.powered, coverage: c.coverage, hasRadio: c.hasRadio}
+		v.ids[i], v.pos[i], v.state[i] = c.id, pos, c.viewState
 		if ranged && c.powered && c.hasRadio {
 			k := cellOf(pos, v.cell)
-			v.grid[k] = append(v.grid[k], c.id)
+			v.grid[k] = append(v.grid[k], int32(i))
 		}
 	}
 	return v
@@ -176,37 +180,42 @@ func (v *worldView) neighborsInView(id ids.DeviceID) []ids.DeviceID {
 	if !v.valid {
 		return nil
 	}
-	self, ok := v.devs[id]
-	if !ok || !self.powered || !self.hasRadio {
+	self, ok := slices.BinarySearch(v.ids, id)
+	if !ok || !v.state[self].powered || !v.state[self].hasRadio {
 		return nil
 	}
 	var out []ids.DeviceID
 	if v.phy.Unlimited() {
 		// Cellular: geometric position is irrelevant; coverage matters.
-		if !self.coverage {
+		if !v.state[self].coverage {
 			return nil
 		}
-		for other, od := range v.devs {
-			if other == id || !od.powered || !od.hasRadio || !od.coverage {
-				continue
+		for i, st := range v.state {
+			if i != self && st.powered && st.hasRadio && st.coverage {
+				out = append(out, v.ids[i])
 			}
-			out = append(out, other)
 		}
-	} else {
-		c := cellOf(self.pos, v.cell)
-		for dx := int64(-1); dx <= 1; dx++ {
-			for dy := int64(-1); dy <= 1; dy++ {
-				for _, other := range v.grid[cellKey{x: c.x + dx, y: c.y + dy}] {
-					if other == id {
-						continue
-					}
-					if self.pos.DistanceTo(v.devs[other].pos) <= v.phy.Range {
-						out = append(out, other)
-					}
+		return out
+	}
+	at := v.pos[self]
+	c := cellOf(at, v.cell)
+	var buf [64]int32
+	found := buf[:0]
+	for dx := int64(-1); dx <= 1; dx++ {
+		for dy := int64(-1); dy <= 1; dy++ {
+			for _, i := range v.grid[cellKey{x: c.x + dx, y: c.y + dy}] {
+				if int(i) != self && at.DistanceTo(v.pos[i]) <= v.phy.Range {
+					found = append(found, i)
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(found)
+	if len(found) > 0 {
+		out = make([]ids.DeviceID, len(found))
+		for k, i := range found {
+			out[k] = v.ids[i]
+		}
+	}
 	return out
 }

@@ -95,8 +95,8 @@ func (h waiterHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h waiterHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)        { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *waiterHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
 func (h *waiterHeap) Pop() any {
 	old := *h
 	n := len(old)
