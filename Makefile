@@ -139,9 +139,13 @@ chaos:
 # fuzz replays the committed never-panic corpora (valid frames plus
 # faults.Mangle damage and truncations) through the community, gossip
 # and DTN wire decoders as ordinary deterministic tests — the seed
-# corpus of each fuzzer, not an open-ended fuzzing session.
+# corpus of each fuzzer, not an open-ended fuzzing session. The
+# re-sealed corruption tests damage gossip and DTN frame bodies behind a
+# valid checksum, so the damage reaches body parsing and the live
+# serving steps. The shared sealed-frame package's suite runs whole.
 fuzz:
-	$(GO) test -run 'TestCorruptionCorpus|TestCodecRejectsMangledFrames|Fuzz' ./internal/community/ ./internal/gossip/ ./internal/dtn/
+	$(GO) test -run 'TestCorruptionCorpus|TestCodecRejectsMangledFrames|TestResealedCorruption|Fuzz' ./internal/community/ ./internal/gossip/ ./internal/dtn/
+	$(GO) test ./internal/frame/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

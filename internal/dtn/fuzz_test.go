@@ -10,13 +10,14 @@ import (
 // The fuzzers hold the DTN codec to the community codec's never-panic
 // discipline. Seeds start from valid frames plus the exact damage the
 // chaos fault plane inflicts (faults.Mangle: bit flips, truncation,
-// insertion, zeroed spans).
+// insertion, zeroed spans), as delivered and re-sealed so the damage
+// reaches the body.
 
 func dtnMangledCorpus() [][]byte {
 	var out [][]byte
 	for _, frame := range dtnFrames() {
 		for seed := uint64(0); seed < 8; seed++ {
-			out = append(out, faults.Mangle(seed, frame))
+			out = append(out, faults.Mangle(seed, frame), resealed(seed, frame))
 		}
 		if len(frame) > 12 {
 			out = append(out, frame[:len(frame)-9])

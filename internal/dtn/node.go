@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/frame"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/radio"
@@ -213,6 +214,13 @@ type Node struct {
 	trace          uint64
 	stats          Stats
 
+	// vaccine is the delivered-ids sample every OFFER and WANT carries,
+	// kept encoded (a frame id list of the last VaccineCap entries of
+	// deliveredOrder) and rebuilt only once the log has grown past the
+	// vaccineLen entries it was built from.
+	vaccine    []byte
+	vaccineLen int
+
 	lis     *netsim.Listener
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -380,30 +388,37 @@ func (n *Node) recordDeliveredLocked(id string) {
 	n.deliveredOrder = append(n.deliveredOrder, id)
 }
 
-// vaccineLocked samples the most recently learned delivered ids for
-// piggybacking on a contact.
-func (n *Node) vaccineLocked() []string {
-	tail := n.deliveredOrder
-	if len(tail) > n.cfg.VaccineCap {
-		tail = tail[len(tail)-n.cfg.VaccineCap:]
+// vaccineLocked returns the encoded sample of the most recently learned
+// delivered ids for piggybacking on a contact. The delivered log only
+// grows, so its length tells whether the cached encoding is current.
+func (n *Node) vaccineLocked() []byte {
+	if len(n.vaccine) == 0 || n.vaccineLen != len(n.deliveredOrder) {
+		tail := n.deliveredOrder[max(0, len(n.deliveredOrder)-n.cfg.VaccineCap):]
+		n.vaccine = frame.AppendList(n.vaccine[:0], tail)
+		n.vaccineLen = len(n.deliveredOrder)
 	}
-	return append([]string(nil), tail...)
+	return n.vaccine
 }
 
 // applyVaccineLocked records delivered ids learned from a peer and
-// purges any matching custody.
-func (n *Node) applyVaccineLocked(list []string, peer ids.DeviceID) {
-	for _, id := range list {
-		if id == "" || n.isDeliveredLocked(id) {
-			continue
+// purges any matching custody. It walks the vaccine inside the received
+// frame: an id already known costs a map probe and no string.
+func (n *Node) applyVaccineLocked(vaccine frame.List, peer ids.DeviceID) {
+	vaccine.Each(func(b []byte) {
+		if len(b) == 0 {
+			return
 		}
+		if _, known := n.delivered[string(b)]; known {
+			return
+		}
+		id := string(b)
 		n.recordDeliveredLocked(id)
 		if n.heldLocked(id) {
 			n.removeLocked(id)
 			n.stats.Purged++
 			n.noteLocked("purge", id, peer, 0, 0)
 		}
-	}
+	})
 }
 
 // heldSortedLocked snapshots all custody in enqueue order.
@@ -587,8 +602,7 @@ func (n *Node) nextContact(p *contactPlan) (*contact, bool) {
 			continue
 		}
 		n.stats.OffersSent++
-		offer := MarshalOffer(FrameOffer{From: n.dev, Summaries: sums, Delivered: n.vaccineLocked()})
-		return &contact{peer: peer, offer: offer}, true
+		return &contact{peer: peer, offer: encodeOffer(n.dev, sums, n.vaccineLocked())}, true
 	}
 	return nil, false
 }
@@ -646,7 +660,7 @@ func (n *Node) wantStep(c *contact, resp []byte, err error) []byte {
 		n.noteExchangeError(c.peer)
 		return nil
 	}
-	want, err := UnmarshalWant(resp)
+	want, vaccine, err := decodeWant(resp)
 	if err != nil {
 		n.reject()
 		n.noteExchangeError(c.peer)
@@ -654,7 +668,7 @@ func (n *Node) wantStep(c *contact, resp []byte, err error) []byte {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.applyVaccineLocked(want.Delivered, c.peer)
+	n.applyVaccineLocked(vaccine, c.peer)
 	var out []Bundle
 	seen := make(map[string]bool, len(want.Want))
 	for _, id := range want.Want {
@@ -823,14 +837,10 @@ func (n *Node) contactEvent(ctx *des.Ctx, p *contactPlan, c *contact, done chan 
 // offerStep serves a contact's OFFER and returns the WANT reply: the
 // offer's vaccine is applied, and the reply asks for every offered
 // bundle the strategy takes that is neither held nor known delivered.
-// A nil reply means the frame was rejected or this node is down.
+// A nil reply means the frame was rejected or this node is down. The
+// frame is verified once, by its decoder, before anything is applied.
 func (n *Node) offerStep(data []byte) []byte {
-	kind, err := FrameKind(data)
-	if err != nil || kind != kindOffer {
-		n.reject()
-		return nil
-	}
-	offer, err := UnmarshalOffer(data)
+	offer, vaccine, err := decodeOffer(data)
 	if err != nil {
 		n.reject()
 		return nil
@@ -842,7 +852,7 @@ func (n *Node) offerStep(data []byte) []byte {
 	}
 	n.stats.FramesIn++
 	n.stats.OffersServed++
-	n.applyVaccineLocked(offer.Delivered, offer.From)
+	n.applyVaccineLocked(vaccine, offer.From)
 	var want []string
 	seen := make(map[string]bool, len(offer.Summaries))
 	for _, s := range offer.Summaries {
@@ -858,7 +868,7 @@ func (n *Node) offerStep(data []byte) []byte {
 			want = append(want, s.ID)
 		}
 	}
-	return MarshalWant(FrameWant{Want: want, Delivered: n.vaccineLocked()})
+	return encodeWant(want, n.vaccineLocked())
 }
 
 // bundlesStep takes custody of a contact's BUNDLES and returns the ACK

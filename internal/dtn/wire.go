@@ -3,22 +3,21 @@ package dtn
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
 
+	"repro/internal/frame"
 	"repro/internal/ids"
 )
 
-// Wire format. Every DTN frame is
+// Wire format. Every DTN frame is an internal/frame sealed frame,
 //
 //	magic(1) version(1) kind(1) body... checksum(8)
 //
-// where the checksum is FNV-64a over magic..body, little-endian — the
-// same sealed-frame discipline as the gossip and community codecs. The
-// body is built from uvarints and length-prefixed strings. Decoding is
-// strict: the checksum must match, every length must fit the declared
-// caps, and the body must be consumed exactly — anything else is an
-// error, never a panic. The fuzz suite holds the codec to that under
-// faults.Mangle-style corruption (bit flips, truncation, insertion).
+// with the same discipline as the gossip codec: FNV-64a checksum,
+// uvarints and length-prefixed strings, strict decoding — anything
+// malformed is an error, never a panic. The fuzz suite holds the codec
+// to that under faults.Mangle-style corruption (bit flips, truncation,
+// insertion), both as delivered and re-sealed so the damage reaches the
+// body.
 //
 // A contact is a four-frame handshake: the initiator OFFERs bundle
 // summaries (plus a delivered-ids vaccine sample), the responder
@@ -118,355 +117,168 @@ type FrameAck struct {
 
 // --- encoding ---
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendIDs(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
+// encodeOffer builds an OFFER frame in a buffer of exact size around
+// an already encoded vaccine (a frame.AppendList id list), so a node
+// re-encodes its vaccine only when its delivered log grows.
+func encodeOffer(from ids.DeviceID, sums []Summary, vaccine []byte) []byte {
+	size := frame.StringLen(string(from)) + frame.UvarintLen(uint64(len(sums))) + len(vaccine)
+	for _, s := range sums {
+		size += frame.StringLen(s.ID) + frame.StringLen(string(s.Dst)) +
+			frame.UvarintLen(uint64(s.TTL)) + frame.UvarintLen(uint64(s.Utility))
 	}
-	return b
+	b := frame.Begin(frameMagic, frameVersion, kindOffer, size)
+	b = frame.AppendString(b, string(from))
+	b = binary.AppendUvarint(b, uint64(len(sums)))
+	for _, s := range sums {
+		b = frame.AppendString(b, s.ID)
+		b = frame.AppendString(b, string(s.Dst))
+		b = binary.AppendUvarint(b, uint64(s.TTL))
+		b = binary.AppendUvarint(b, uint64(s.Utility))
+	}
+	return frame.Seal(append(b, vaccine...))
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func sealFrame(body []byte) []byte {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
-}
-
-func frameHeader(kind byte) []byte {
-	return []byte{frameMagic, frameVersion, kind}
+// encodeWant builds a WANT frame in a buffer of exact size around an
+// already encoded vaccine.
+func encodeWant(want []string, vaccine []byte) []byte {
+	b := frame.Begin(frameMagic, frameVersion, kindWant, frame.ListLen(want)+len(vaccine))
+	return frame.Seal(append(frame.AppendList(b, want), vaccine...))
 }
 
 // MarshalOffer encodes a contact-opening offer frame.
 func MarshalOffer(f FrameOffer) []byte {
-	b := frameHeader(kindOffer)
-	b = appendString(b, string(f.From))
-	b = binary.AppendUvarint(b, uint64(len(f.Summaries)))
-	for _, s := range f.Summaries {
-		b = appendString(b, s.ID)
-		b = appendString(b, string(s.Dst))
-		b = binary.AppendUvarint(b, uint64(s.TTL))
-		b = binary.AppendUvarint(b, uint64(s.Utility))
-	}
-	b = appendIDs(b, f.Delivered)
-	return sealFrame(b)
+	return encodeOffer(f.From, f.Summaries, frame.AppendList(nil, f.Delivered))
 }
 
 // MarshalWant encodes an offer answer frame.
 func MarshalWant(f FrameWant) []byte {
-	b := frameHeader(kindWant)
-	b = appendIDs(b, f.Want)
-	b = appendIDs(b, f.Delivered)
-	return sealFrame(b)
+	return encodeWant(f.Want, frame.AppendList(nil, f.Delivered))
 }
 
 // MarshalBundles encodes a bundle transfer frame.
 func MarshalBundles(f FrameBundles) []byte {
-	b := frameHeader(kindBundles)
-	b = appendString(b, string(f.From))
+	b := frame.Begin(frameMagic, frameVersion, kindBundles, 0)
+	b = frame.AppendString(b, string(f.From))
 	b = binary.AppendUvarint(b, uint64(len(f.Bundles)))
 	for _, bl := range f.Bundles {
-		b = appendString(b, bl.ID)
-		b = appendString(b, string(bl.Src))
-		b = appendString(b, string(bl.Dst))
+		b = frame.AppendString(b, bl.ID)
+		b = frame.AppendString(b, string(bl.Src))
+		b = frame.AppendString(b, string(bl.Dst))
 		b = binary.AppendUvarint(b, uint64(bl.TTL))
 		b = binary.AppendUvarint(b, uint64(bl.Copies))
-		b = appendBytes(b, bl.Payload)
+		b = frame.AppendBytes(b, bl.Payload)
 	}
-	return sealFrame(b)
+	return frame.Seal(b)
 }
 
 // MarshalAck encodes a contact-closing acceptance frame.
 func MarshalAck(f FrameAck) []byte {
-	b := frameHeader(kindAck)
-	b = appendIDs(b, f.Accepted)
-	return sealFrame(b)
+	b := frame.Begin(frameMagic, frameVersion, kindAck, frame.ListLen(f.Accepted))
+	return frame.Seal(frame.AppendList(b, f.Accepted))
 }
 
 // --- decoding ---
-
-type wireReader struct {
-	b   []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrBadFrame
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *wireReader) str(maxLen int) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return "", ErrBadFrame
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *wireReader) bytes(maxLen int) ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return nil, ErrBadFrame
-	}
-	p := append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return p, nil
-}
-
-func (r *wireReader) idList(maxN int) ([]string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(maxN) {
-		return nil, ErrBadFrame
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	// Cap the pre-allocation: a mangled count still has to be backed
-	// by actual bytes before it grows the slice.
-	out := make([]string, 0, min(int(n), 64))
-	for i := uint64(0); i < n; i++ {
-		s, err := r.str(maxWireString)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func (r *wireReader) finish() error {
-	if r.off != len(r.b) {
-		return ErrBadFrame
-	}
-	return nil
-}
-
-// openFrame validates magic/version/kind and the trailing checksum and
-// returns a reader positioned at the body.
-func openFrame(data []byte, kind byte) (*wireReader, error) {
-	if len(data) < 3+8 {
-		return nil, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return nil, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion || body[2] != kind {
-		return nil, ErrBadFrame
-	}
-	return &wireReader{b: body, off: 3}, nil
-}
 
 // FrameKind peeks at a sealed frame's kind without validating the body.
 // It still verifies the checksum, so a mangled kind byte is rejected
 // rather than misrouted.
 func FrameKind(data []byte) (byte, error) {
-	if len(data) < 3+8 {
-		return 0, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return 0, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion {
-		return 0, ErrBadFrame
-	}
-	k := body[2]
+	k := frame.Kind(data)
 	if k < kindOffer || k > kindAck {
+		return 0, ErrBadFrame
+	}
+	if r := frame.Open(data, frameMagic, frameVersion, k); !r.OK() {
 		return 0, ErrBadFrame
 	}
 	return k, nil
 }
 
-// UnmarshalOffer decodes a contact-opening offer frame.
-func UnmarshalOffer(data []byte) (FrameOffer, error) {
-	var f FrameOffer
-	r, err := openFrame(data, kindOffer)
-	if err != nil {
-		return f, err
-	}
-	from, err := r.str(maxWireString)
-	if err != nil {
-		return f, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return f, err
-	}
-	if n > maxWireSummaries {
-		return f, ErrBadFrame
-	}
+// decodeOffer decodes an offer frame, leaving its vaccine in place: the
+// returned list walks the ids inside data, and Delivered is unset.
+func decodeOffer(data []byte) (FrameOffer, frame.List, error) {
+	r := frame.Open(data, frameMagic, frameVersion, kindOffer)
+	from := r.String(maxWireString)
+	n := r.Count(maxWireSummaries)
 	var sums []Summary
 	if n > 0 {
-		sums = make([]Summary, 0, min(int(n), 64))
+		// Cap the pre-allocation: a mangled count still has to be backed
+		// by actual bytes before it grows the slice.
+		sums = make([]Summary, 0, min(n, 64))
 	}
-	for i := uint64(0); i < n; i++ {
-		id, err := r.str(maxWireString)
-		if err != nil {
-			return f, err
-		}
-		dst, err := r.str(maxWireString)
-		if err != nil {
-			return f, err
-		}
-		ttl, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		util, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
+	for i := 0; i < n && r.OK(); i++ {
+		id := r.String(maxWireString)
+		dst := ids.DeviceID(r.String(maxWireString))
+		ttl, util := r.Uvarint(), r.Uvarint()
 		if ttl == 0 || ttl > maxWireTTL || util > maxWireUtility {
-			return f, ErrBadFrame
+			r.Fail()
 		}
-		sums = append(sums, Summary{ID: id, Dst: ids.DeviceID(dst), TTL: uint32(ttl), Utility: uint32(util)})
+		sums = append(sums, Summary{ID: id, Dst: dst, TTL: uint32(ttl), Utility: uint32(util)})
 	}
-	delivered, err := r.idList(maxWireIDs)
-	if err != nil {
-		return f, err
+	vaccine := r.List(maxWireIDs, maxWireString)
+	if !r.Done() {
+		return FrameOffer{}, frame.List{}, ErrBadFrame
 	}
-	if err := r.finish(); err != nil {
-		return f, err
+	return FrameOffer{From: ids.DeviceID(from), Summaries: sums}, vaccine, nil
+}
+
+// UnmarshalOffer decodes a contact-opening offer frame.
+func UnmarshalOffer(data []byte) (FrameOffer, error) {
+	f, vaccine, err := decodeOffer(data)
+	f.Delivered = vaccine.Strings()
+	return f, err
+}
+
+// decodeWant decodes an offer answer frame, leaving its vaccine in
+// place as decodeOffer does.
+func decodeWant(data []byte) (FrameWant, frame.List, error) {
+	r := frame.Open(data, frameMagic, frameVersion, kindWant)
+	want := r.List(maxWireIDs, maxWireString)
+	vaccine := r.List(maxWireIDs, maxWireString)
+	if !r.Done() {
+		return FrameWant{}, frame.List{}, ErrBadFrame
 	}
-	f.From = ids.DeviceID(from)
-	f.Summaries = sums
-	f.Delivered = delivered
-	return f, nil
+	return FrameWant{Want: want.Strings()}, vaccine, nil
 }
 
 // UnmarshalWant decodes an offer answer frame.
 func UnmarshalWant(data []byte) (FrameWant, error) {
-	var f FrameWant
-	r, err := openFrame(data, kindWant)
-	if err != nil {
-		return f, err
-	}
-	want, err := r.idList(maxWireIDs)
-	if err != nil {
-		return f, err
-	}
-	delivered, err := r.idList(maxWireIDs)
-	if err != nil {
-		return f, err
-	}
-	if err := r.finish(); err != nil {
-		return f, err
-	}
-	f.Want = want
-	f.Delivered = delivered
-	return f, nil
+	f, vaccine, err := decodeWant(data)
+	f.Delivered = vaccine.Strings()
+	return f, err
 }
 
 // UnmarshalBundles decodes a bundle transfer frame.
 func UnmarshalBundles(data []byte) (FrameBundles, error) {
-	var f FrameBundles
-	r, err := openFrame(data, kindBundles)
-	if err != nil {
-		return f, err
-	}
-	from, err := r.str(maxWireString)
-	if err != nil {
-		return f, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return f, err
-	}
-	if n > maxWireBundles {
-		return f, ErrBadFrame
-	}
+	r := frame.Open(data, frameMagic, frameVersion, kindBundles)
+	from := r.String(maxWireString)
+	n := r.Count(maxWireBundles)
 	var bundles []Bundle
 	if n > 0 {
-		bundles = make([]Bundle, 0, min(int(n), 64))
+		bundles = make([]Bundle, 0, min(n, 64))
 	}
-	for i := uint64(0); i < n; i++ {
-		id, err := r.str(maxWireString)
-		if err != nil {
-			return f, err
-		}
-		src, err := r.str(maxWireString)
-		if err != nil {
-			return f, err
-		}
-		dst, err := r.str(maxWireString)
-		if err != nil {
-			return f, err
-		}
-		ttl, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
-		copies, err := r.uvarint()
-		if err != nil {
-			return f, err
-		}
+	for i := 0; i < n && r.OK(); i++ {
+		id := r.String(maxWireString)
+		src := ids.DeviceID(r.String(maxWireString))
+		dst := ids.DeviceID(r.String(maxWireString))
+		ttl, copies := r.Uvarint(), r.Uvarint()
 		if ttl == 0 || ttl > maxWireTTL || copies == 0 || copies > maxWireCopies {
-			return f, ErrBadFrame
+			r.Fail()
 		}
-		payload, err := r.bytes(maxWirePayload)
-		if err != nil {
-			return f, err
-		}
-		bundles = append(bundles, Bundle{
-			ID:      id,
-			Src:     ids.DeviceID(src),
-			Dst:     ids.DeviceID(dst),
-			TTL:     uint32(ttl),
-			Copies:  uint32(copies),
-			Payload: payload,
-		})
+		payload := append([]byte(nil), r.Bytes(maxWirePayload)...)
+		bundles = append(bundles, Bundle{ID: id, Src: src, Dst: dst, TTL: uint32(ttl), Copies: uint32(copies), Payload: payload})
 	}
-	if err := r.finish(); err != nil {
-		return f, err
+	if !r.Done() {
+		return FrameBundles{}, ErrBadFrame
 	}
-	f.From = ids.DeviceID(from)
-	f.Bundles = bundles
-	return f, nil
+	return FrameBundles{From: ids.DeviceID(from), Bundles: bundles}, nil
 }
 
 // UnmarshalAck decodes a contact-closing acceptance frame.
 func UnmarshalAck(data []byte) (FrameAck, error) {
-	var f FrameAck
-	r, err := openFrame(data, kindAck)
-	if err != nil {
-		return f, err
+	r := frame.Open(data, frameMagic, frameVersion, kindAck)
+	acc := r.List(maxWireIDs, maxWireString)
+	if !r.Done() {
+		return FrameAck{}, ErrBadFrame
 	}
-	acc, err := r.idList(maxWireIDs)
-	if err != nil {
-		return f, err
-	}
-	if err := r.finish(); err != nil {
-		return f, err
-	}
-	f.Accepted = acc
-	return f, nil
+	return FrameAck{Accepted: acc.Strings()}, nil
 }

@@ -2,12 +2,14 @@ package dtn
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/frame"
 )
 
 func sampleSummaries() []Summary {
@@ -172,6 +174,98 @@ func TestCodecRejectsMangledFrames(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// resealed damages a frame's body the way the chaos fault plane does
+// and seals it again, so the damage passes the checksum and reaches the
+// body parser: length caps, truncated varints, trailing bytes.
+func resealed(seed uint64, f []byte) []byte {
+	return frame.Seal(faults.Mangle(seed, f[:len(f)-8]))
+}
+
+// roundTrip decodes data with one decoder and, when it decodes, checks
+// the frame survives re-encoding.
+func roundTrip[F any](data []byte, unmarshal func([]byte) (F, error), marshal func(F) []byte) error {
+	in, err := unmarshal(data)
+	if err != nil {
+		return err
+	}
+	out, err := unmarshal(marshal(in))
+	if err != nil || !reflect.DeepEqual(in, out) {
+		return fmt.Errorf("decoded %+v does not round-trip: %+v, %v", in, out, err)
+	}
+	return nil
+}
+
+// custodySnapshot is everything a rejected frame must leave alone.
+type custodySnapshot struct {
+	stats     Stats
+	holding   []string
+	delivered []string
+	trace     uint64
+}
+
+func snapshotCustody(n *Node) custodySnapshot {
+	n.mu.Lock()
+	delivered := append([]string(nil), n.deliveredOrder...)
+	n.mu.Unlock()
+	return custodySnapshot{stats: n.Stats(), holding: n.Holding(), delivered: delivered, trace: n.TraceDigest()}
+}
+
+// TestResealedCorruption drives body-level damage through every decoder
+// and through a live node's serving steps. A decoder returns
+// ErrBadFrame or a frame that round-trips; a step that rejects the
+// frame leaves custody, the delivered log, the trace and every counter
+// but FramesRejected as they were.
+func TestResealedCorruption(t *testing.T) {
+	t.Parallel()
+	w := newTestWorld(t, [][2]float64{{0, 0}}, worldOpts{})
+	n := w.nodes[0]
+	if _, err := n.Send("dev-a", []byte("held")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Send(n.dev, []byte("known")); err != nil {
+		t.Fatal(err)
+	}
+	frames := append(dtnFrames(), MarshalOffer(FrameOffer{From: "dev-a", Summaries: sampleSummaries(), Delivered: []string{"dev-000#1", "dev-000#2", "dev-c#2", "dev-d#9"}}))
+	steps := []struct {
+		name string
+		step func([]byte) []byte
+	}{{"offerStep", n.offerStep}, {"bundlesStep", n.bundlesStep}}
+	decoded, rejected := 0, 0
+	for _, f := range frames {
+		for seed := uint64(0); seed < 300; seed++ {
+			m := resealed(seed, f)
+			for _, err := range []error{
+				roundTrip(m, UnmarshalOffer, MarshalOffer),
+				roundTrip(m, UnmarshalWant, MarshalWant),
+				roundTrip(m, UnmarshalBundles, MarshalBundles),
+				roundTrip(m, UnmarshalAck, MarshalAck),
+			} {
+				if err == nil {
+					decoded++
+				} else if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			for _, s := range steps {
+				before := snapshotCustody(n)
+				if s.step(m) != nil {
+					continue
+				}
+				rejected++
+				after := snapshotCustody(n)
+				before.stats.FramesRejected++
+				if !reflect.DeepEqual(before, after) {
+					t.Fatalf("seed %d: %s rejected a frame but changed state:\n before %+v\n after  %+v", seed, s.name, before, after)
+				}
+			}
+		}
+	}
+	// Both outcomes must occur, or the damage never reached the body.
+	if decoded == 0 || rejected == 0 {
+		t.Fatalf("re-sealed damage decoded %d times and was rejected %d times; want both", decoded, rejected)
 	}
 }
 

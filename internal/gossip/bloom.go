@@ -13,8 +13,10 @@
 package gossip
 
 import (
-	"hash/fnv"
+	"encoding/binary"
 	"math"
+
+	"repro/internal/frame"
 )
 
 // Bloom is a fixed-size bloom filter over record keys (member|epoch).
@@ -92,24 +94,37 @@ func NewBloom(n int, p float64, salt uint64) *Bloom {
 }
 
 // bloomHash derives the double-hashing pair (h1, h2) from one FNV-64a
-// pass over the salt and key: h1 is the low half, h2 the high half
-// forced odd so the probe sequence h1 + i*h2 walks distinct offsets.
-func bloomHash(salt uint64, key string) (h1, h2 uint32) {
-	h := fnv.New64a()
+// pass over the little-endian salt and the key: h1 is the low half, h2
+// the high half forced odd so the probe sequence h1 + i*h2 walks
+// distinct offsets.
+func bloomHash(salt uint64, key []byte) (h1, h2 uint32) {
 	var sb [8]byte
-	for i := range sb {
-		sb[i] = byte(salt >> (8 * i))
-	}
-	_, _ = h.Write(sb[:])
-	_, _ = h.Write([]byte(key))
-	s := h.Sum64()
-	h1 = uint32(s)
-	h2 = uint32(s>>32) | 1
-	return h1, h2
+	binary.LittleEndian.PutUint64(sb[:], salt)
+	s := frame.Fold(frame.Fold(frame.Offset64, sb[:]), key)
+	return uint32(s), uint32(s>>32) | 1
 }
 
 // Add inserts a key.
-func (b *Bloom) Add(key string) {
+func (b *Bloom) Add(key string) { b.add([]byte(key)) }
+
+// Has reports whether the key may be in the set (definitely-absent on
+// false; maybe-present on true).
+func (b *Bloom) Has(key string) bool { return b.has([]byte(key)) }
+
+// addRecord inserts rec.Key(), hashed from a stack buffer instead of a
+// built string.
+func (b *Bloom) addRecord(rec Record) {
+	var buf [keyBuf]byte
+	b.add(rec.appendKey(buf[:0]))
+}
+
+// hasRecord is Has(rec.Key()) without building the string.
+func (b *Bloom) hasRecord(rec Record) bool {
+	var buf [keyBuf]byte
+	return b.has(rec.appendKey(buf[:0]))
+}
+
+func (b *Bloom) add(key []byte) {
 	h1, h2 := bloomHash(b.salt, key)
 	for i := uint32(0); i < uint32(b.k); i++ {
 		idx := (h1 + i*h2) % b.nbits
@@ -118,9 +133,7 @@ func (b *Bloom) Add(key string) {
 	b.count++
 }
 
-// Has reports whether the key may be in the set (definitely-absent on
-// false; maybe-present on true).
-func (b *Bloom) Has(key string) bool {
+func (b *Bloom) has(key []byte) bool {
 	if b == nil || b.nbits == 0 {
 		return false
 	}

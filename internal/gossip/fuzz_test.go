@@ -10,15 +10,16 @@ import (
 // The fuzzers hold the gossip codec to the community codec's
 // never-panic discipline. Seeds start from valid frames plus the exact
 // damage the chaos fault plane inflicts (faults.Mangle: bit flips,
-// truncation, insertion, zeroed spans), with extra seeds that mangle
-// only the bloom payload region — the length-prefixed filter is the
-// most structured part of the frame and the easiest to overrun.
+// truncation, insertion, zeroed spans), as delivered and re-sealed so
+// the damage reaches the body, with extra seeds that mangle only the
+// bloom payload region — the length-prefixed filter is the most
+// structured part of the frame and the easiest to overrun.
 
 func gossipMangledCorpus(frames ...[]byte) [][]byte {
 	var out [][]byte
 	for _, frame := range frames {
 		for seed := uint64(0); seed < 8; seed++ {
-			out = append(out, faults.Mangle(seed, frame))
+			out = append(out, faults.Mangle(seed, frame), resealed(seed, frame))
 		}
 		// Truncations that cut into the bloom bits and the checksum.
 		if len(frame) > 12 {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/des"
+	"repro/internal/frame"
 	"repro/internal/ids"
 	"repro/internal/interest"
 	"repro/internal/netsim"
@@ -326,7 +327,7 @@ func (n *Node) hotRecordsLocked() []Record {
 func (n *Node) buildBloomLocked() *Bloom {
 	b := NewBloom(len(n.records), n.cfg.BloomFP, n.nextRand())
 	for _, rec := range n.records {
-		b.Add(rec.Key())
+		b.addRecord(rec)
 	}
 	return b
 }
@@ -336,7 +337,7 @@ func (n *Node) buildBloomLocked() *Bloom {
 func (n *Node) missingLocked(have *Bloom) []Record {
 	var out []Record
 	for _, rec := range n.records {
-		if !have.Has(rec.Key()) {
+		if !have.hasRecord(rec) {
 			out = append(out, rec)
 		}
 	}
@@ -439,7 +440,7 @@ func (n *Node) nextExchange(p *roundPlan) (exchange, bool) {
 		have := n.peerHave[partner]
 		var fresh []Record
 		for _, rec := range p.hot {
-			if !have.Has(rec.Key()) {
+			if !have.hasRecord(rec) {
 				fresh = append(fresh, rec)
 			}
 		}
@@ -642,13 +643,10 @@ func (n *Node) exchangeEvent(ctx *des.Ctx, p *roundPlan, x exchange, done chan s
 // already known, our digest and a view sample; a digest is answered
 // with the records it lacks plus our own digest, and more reports that
 // a closing delta follows. A nil reply means the frame was rejected.
+// Dispatch reads the kind byte alone; the kind's decoder verifies the
+// frame once.
 func (n *Node) openStep(data []byte) (reply []byte, more bool) {
-	kind, err := FrameKind(data)
-	if err != nil {
-		n.reject()
-		return nil, false
-	}
-	switch kind {
+	switch frame.Kind(data) {
 	case kindRumor:
 		f, err := UnmarshalRumor(data)
 		if err != nil {

@@ -1,0 +1,7 @@
+//go:build race
+
+package gossip
+
+// raceEnabled reports whether the race detector is instrumenting this
+// build; its bookkeeping allocates, so allocation pins skip.
+const raceEnabled = true

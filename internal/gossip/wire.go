@@ -3,13 +3,13 @@ package gossip
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"hash/fnv"
+	"strconv"
 
+	"repro/internal/frame"
 	"repro/internal/ids"
 )
 
-// Wire format. Every gossip frame is
+// Wire format. Every gossip frame is an internal/frame sealed frame,
 //
 //	magic(1) version(1) kind(1) body... checksum(8)
 //
@@ -18,7 +18,8 @@ import (
 // strict: the checksum must match, every length must fit the declared
 // caps, and the body must be consumed exactly — anything else is an
 // error, never a panic. The fuzz suite holds the codec to that under
-// faults.Mangle-style corruption (bit flips, truncation, insertion).
+// faults.Mangle-style corruption (bit flips, truncation, insertion),
+// both as delivered and re-sealed so the damage reaches the body.
 
 const (
 	frameMagic   = 0x67 // 'g'
@@ -62,11 +63,24 @@ type Record struct {
 	Interests []string
 }
 
-// Key is the record's identity in "have" digests: member|epoch. A
-// re-advertised profile (new epoch) is a new rumor with a fresh key, so
-// stale blooms never suppress fresh state.
+// Key is the record's identity in "have" digests: member|epoch, the
+// epoch in lower-case hex. A re-advertised profile (new epoch) is a new
+// rumor with a fresh key, so stale blooms never suppress fresh state.
 func (r Record) Key() string {
-	return string(r.Member) + "|" + fmt.Sprintf("%x", r.Epoch)
+	var buf [keyBuf]byte
+	return string(r.appendKey(buf[:0]))
+}
+
+// keyBuf sizes the stack buffer keys are written into; a longer key
+// spills to the heap.
+const keyBuf = 64
+
+// appendKey writes Key's bytes; the bloom hashes them from a stack
+// buffer without building the string.
+func (r Record) appendKey(b []byte) []byte {
+	b = append(b, r.Member...)
+	b = append(b, '|')
+	return strconv.AppendUint(b, r.Epoch, 16)
 }
 
 // ViewEntry is one peer descriptor in the CyclonSN-style sampling view:
@@ -115,26 +129,13 @@ type FrameDelta struct {
 
 // --- encoding ---
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendRecord(b []byte, r Record) []byte {
-	b = appendString(b, string(r.Member))
-	b = appendString(b, string(r.Device))
-	b = binary.AppendUvarint(b, r.Epoch)
-	b = binary.AppendUvarint(b, uint64(len(r.Interests)))
-	for _, it := range r.Interests {
-		b = appendString(b, it)
-	}
-	return b
-}
-
 func appendRecords(b []byte, rs []Record) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for _, r := range rs {
-		b = appendRecord(b, r)
+		b = frame.AppendString(b, string(r.Member))
+		b = frame.AppendString(b, string(r.Device))
+		b = binary.AppendUvarint(b, r.Epoch)
+		b = frame.AppendList(b, r.Interests)
 	}
 	return b
 }
@@ -142,8 +143,8 @@ func appendRecords(b []byte, rs []Record) []byte {
 func appendView(b []byte, v []ViewEntry) []byte {
 	b = binary.AppendUvarint(b, uint64(len(v)))
 	for _, e := range v {
-		b = appendString(b, string(e.Device))
-		b = appendString(b, string(e.Member))
+		b = frame.AppendString(b, string(e.Device))
+		b = frame.AppendString(b, string(e.Member))
 		b = binary.AppendUvarint(b, uint64(e.Age))
 	}
 	return b
@@ -160,276 +161,100 @@ func appendBloom(b []byte, f *Bloom) []byte {
 	return append(b, f.bits...)
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func sealFrame(body []byte) []byte {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
-}
-
-func frameHeader(kind byte) []byte {
-	return []byte{frameMagic, frameVersion, kind}
-}
+func begin(kind byte) []byte { return frame.Begin(frameMagic, frameVersion, kind, 0) }
 
 // MarshalRumor encodes a rumor push frame.
 func MarshalRumor(f FrameRumor) []byte {
-	b := frameHeader(kindRumor)
-	b = appendString(b, string(f.From))
+	b := frame.AppendString(begin(kindRumor), string(f.From))
 	b = appendRecords(b, f.Records)
-	b = appendView(b, f.View)
-	return sealFrame(b)
+	return frame.Seal(appendView(b, f.View))
 }
 
 // MarshalAck encodes a rumor acknowledgement frame.
 func MarshalAck(f FrameAck) []byte {
-	b := frameHeader(kindAck)
-	b = appendBytes(b, f.KnownMask)
+	b := frame.AppendBytes(begin(kindAck), f.KnownMask)
 	b = appendBloom(b, f.Bloom)
-	b = appendView(b, f.View)
-	return sealFrame(b)
+	return frame.Seal(appendView(b, f.View))
 }
 
 // MarshalDigest encodes an anti-entropy digest frame.
 func MarshalDigest(f FrameDigest) []byte {
-	b := frameHeader(kindDigest)
-	b = appendString(b, string(f.From))
+	b := frame.AppendString(begin(kindDigest), string(f.From))
 	b = appendBloom(b, f.Bloom)
-	b = appendView(b, f.View)
-	return sealFrame(b)
+	return frame.Seal(appendView(b, f.View))
 }
 
 // MarshalDelta encodes an anti-entropy delta frame.
 func MarshalDelta(f FrameDelta) []byte {
-	b := frameHeader(kindDelta)
-	b = appendString(b, string(f.From))
+	b := frame.AppendString(begin(kindDelta), string(f.From))
 	b = appendRecords(b, f.Records)
-	b = appendBloom(b, f.Bloom)
-	return sealFrame(b)
+	return frame.Seal(appendBloom(b, f.Bloom))
 }
 
 // --- decoding ---
 
-type wireReader struct {
-	b   []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		return 0, ErrBadFrame
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *wireReader) str(maxLen int) (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return "", ErrBadFrame
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s, nil
-}
-
-func (r *wireReader) bytes(maxLen int) ([]byte, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(maxLen) || r.off+int(n) > len(r.b) {
-		return nil, ErrBadFrame
-	}
-	p := append([]byte(nil), r.b[r.off:r.off+int(n)]...)
-	r.off += int(n)
-	return p, nil
-}
-
-func (r *wireReader) record() (Record, error) {
-	var rec Record
-	m, err := r.str(maxWireString)
-	if err != nil {
-		return rec, err
-	}
-	d, err := r.str(maxWireString)
-	if err != nil {
-		return rec, err
-	}
-	epoch, err := r.uvarint()
-	if err != nil {
-		return rec, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return rec, err
-	}
-	if n > maxWireInterests {
-		return rec, ErrBadFrame
-	}
-	var interests []string
-	if n > 0 {
-		interests = make([]string, 0, n)
-		for i := uint64(0); i < n; i++ {
-			it, err := r.str(maxWireString)
-			if err != nil {
-				return rec, err
-			}
-			interests = append(interests, it)
-		}
-	}
-	rec.Member = ids.MemberID(m)
-	rec.Device = ids.DeviceID(d)
-	rec.Epoch = epoch
-	rec.Interests = interests
-	return rec, nil
-}
-
-func (r *wireReader) records() ([]Record, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxWireRecords {
-		return nil, ErrBadFrame
-	}
+func readRecords(r *frame.Reader) []Record {
+	n := r.Count(maxWireRecords)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	// Cap the pre-allocation: a mangled count still has to be backed
-	// by actual bytes before it grows the slice.
-	recs := make([]Record, 0, min(int(n), 64))
-	for i := uint64(0); i < n; i++ {
-		rec, err := r.record()
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
+	// Cap the pre-allocation: a mangled count still has to be backed by
+	// actual bytes before it grows the slice.
+	recs := make([]Record, 0, min(n, 64))
+	for i := 0; i < n && r.OK(); i++ {
+		m := ids.MemberID(r.String(maxWireString))
+		d := ids.DeviceID(r.String(maxWireString))
+		epoch := r.Uvarint()
+		interests := r.List(maxWireInterests, maxWireString).Strings()
+		recs = append(recs, Record{Member: m, Device: d, Epoch: epoch, Interests: interests})
 	}
-	return recs, nil
+	return recs
 }
 
-func (r *wireReader) view() ([]ViewEntry, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxWireView {
-		return nil, ErrBadFrame
-	}
+func readView(r *frame.Reader) []ViewEntry {
+	n := r.Count(maxWireView)
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	out := make([]ViewEntry, 0, min(int(n), 64))
-	for i := uint64(0); i < n; i++ {
-		dev, err := r.str(maxWireString)
-		if err != nil {
-			return nil, err
-		}
-		mem, err := r.str(maxWireString)
-		if err != nil {
-			return nil, err
-		}
-		age, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	out := make([]ViewEntry, 0, min(n, 64))
+	for i := 0; i < n && r.OK(); i++ {
+		dev := ids.DeviceID(r.String(maxWireString))
+		mem := ids.MemberID(r.String(maxWireString))
+		age := r.Uvarint()
 		if age > 1<<30 {
-			return nil, ErrBadFrame
+			r.Fail()
 		}
-		out = append(out, ViewEntry{Device: ids.DeviceID(dev), Member: ids.MemberID(mem), Age: uint32(age)})
+		out = append(out, ViewEntry{Device: dev, Member: mem, Age: uint32(age)})
 	}
-	return out, nil
+	return out
 }
 
-func (r *wireReader) bloom() (*Bloom, error) {
-	nbits, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func readBloom(r *frame.Reader) *Bloom {
+	nbits := r.Uvarint()
 	if nbits == 0 {
-		return nil, nil
+		return nil
 	}
-	if nbits > bloomMaxBits {
-		return nil, ErrBadFrame
+	k, count, salt := r.Uvarint(), r.Uvarint(), r.Uvarint()
+	if nbits > bloomMaxBits || k < 1 || k > bloomMaxK || count > 1<<32-1 {
+		r.Fail()
+		return nil
 	}
-	k, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	bits := r.Raw(int((nbits + 7) / 8))
+	if !r.OK() {
+		return nil
 	}
-	if k < 1 || k > bloomMaxK {
-		return nil, ErrBadFrame
-	}
-	count, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<32-1 {
-		return nil, ErrBadFrame
-	}
-	salt, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nbytes := int((nbits + 7) / 8)
-	if r.off+nbytes > len(r.b) {
-		return nil, ErrBadFrame
-	}
-	bits := append([]byte(nil), r.b[r.off:r.off+nbytes]...)
-	r.off += nbytes
-	return &Bloom{bits: bits, nbits: uint32(nbits), k: uint8(k), count: uint32(count), salt: salt}, nil
-}
-
-// openFrame validates magic/version/kind and the trailing checksum and
-// returns a reader positioned at the body.
-func openFrame(data []byte, kind byte) (*wireReader, error) {
-	if len(data) < 3+8 {
-		return nil, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return nil, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion || body[2] != kind {
-		return nil, ErrBadFrame
-	}
-	return &wireReader{b: body, off: 3}, nil
-}
-
-func (r *wireReader) finish() error {
-	if r.off != len(r.b) {
-		return ErrBadFrame
-	}
-	return nil
+	return &Bloom{bits: append([]byte(nil), bits...), nbits: uint32(nbits), k: uint8(k), count: uint32(count), salt: salt}
 }
 
 // FrameKind peeks at a sealed frame's kind without validating the body.
 // It still verifies the checksum, so a mangled kind byte is rejected
 // rather than misrouted.
 func FrameKind(data []byte) (byte, error) {
-	if len(data) < 3+8 {
-		return 0, ErrBadFrame
-	}
-	body, sum := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
-		return 0, ErrBadFrame
-	}
-	if body[0] != frameMagic || body[1] != frameVersion {
-		return 0, ErrBadFrame
-	}
-	k := body[2]
+	k := frame.Kind(data)
 	if k < kindRumor || k > kindDelta {
+		return 0, ErrBadFrame
+	}
+	if r := frame.Open(data, frameMagic, frameVersion, k); !r.OK() {
 		return 0, ErrBadFrame
 	}
 	return k, nil
@@ -437,112 +262,48 @@ func FrameKind(data []byte) (byte, error) {
 
 // UnmarshalRumor decodes a rumor push frame.
 func UnmarshalRumor(data []byte) (FrameRumor, error) {
-	var f FrameRumor
-	r, err := openFrame(data, kindRumor)
-	if err != nil {
-		return f, err
+	r := frame.Open(data, frameMagic, frameVersion, kindRumor)
+	f := FrameRumor{From: ids.DeviceID(r.String(maxWireString))}
+	f.Records = readRecords(&r)
+	f.View = readView(&r)
+	if !r.Done() {
+		return FrameRumor{}, ErrBadFrame
 	}
-	from, err := r.str(maxWireString)
-	if err != nil {
-		return f, err
-	}
-	recs, err := r.records()
-	if err != nil {
-		return f, err
-	}
-	view, err := r.view()
-	if err != nil {
-		return f, err
-	}
-	if err := r.finish(); err != nil {
-		return f, err
-	}
-	f.From = ids.DeviceID(from)
-	f.Records = recs
-	f.View = view
 	return f, nil
 }
 
 // UnmarshalAck decodes a rumor acknowledgement frame.
 func UnmarshalAck(data []byte) (FrameAck, error) {
-	var f FrameAck
-	r, err := openFrame(data, kindAck)
-	if err != nil {
-		return f, err
+	r := frame.Open(data, frameMagic, frameVersion, kindAck)
+	f := FrameAck{KnownMask: append([]byte(nil), r.Bytes(maxWireMask)...)}
+	f.Bloom = readBloom(&r)
+	f.View = readView(&r)
+	if !r.Done() {
+		return FrameAck{}, ErrBadFrame
 	}
-	mask, err := r.bytes(maxWireMask)
-	if err != nil {
-		return f, err
-	}
-	bloom, err := r.bloom()
-	if err != nil {
-		return f, err
-	}
-	view, err := r.view()
-	if err != nil {
-		return f, err
-	}
-	if err := r.finish(); err != nil {
-		return f, err
-	}
-	f.KnownMask = mask
-	f.Bloom = bloom
-	f.View = view
 	return f, nil
 }
 
 // UnmarshalDigest decodes an anti-entropy digest frame.
 func UnmarshalDigest(data []byte) (FrameDigest, error) {
-	var f FrameDigest
-	r, err := openFrame(data, kindDigest)
-	if err != nil {
-		return f, err
+	r := frame.Open(data, frameMagic, frameVersion, kindDigest)
+	f := FrameDigest{From: ids.DeviceID(r.String(maxWireString))}
+	f.Bloom = readBloom(&r)
+	f.View = readView(&r)
+	if !r.Done() {
+		return FrameDigest{}, ErrBadFrame
 	}
-	from, err := r.str(maxWireString)
-	if err != nil {
-		return f, err
-	}
-	bloom, err := r.bloom()
-	if err != nil {
-		return f, err
-	}
-	view, err := r.view()
-	if err != nil {
-		return f, err
-	}
-	if err := r.finish(); err != nil {
-		return f, err
-	}
-	f.From = ids.DeviceID(from)
-	f.Bloom = bloom
-	f.View = view
 	return f, nil
 }
 
 // UnmarshalDelta decodes an anti-entropy delta frame.
 func UnmarshalDelta(data []byte) (FrameDelta, error) {
-	var f FrameDelta
-	r, err := openFrame(data, kindDelta)
-	if err != nil {
-		return f, err
+	r := frame.Open(data, frameMagic, frameVersion, kindDelta)
+	f := FrameDelta{From: ids.DeviceID(r.String(maxWireString))}
+	f.Records = readRecords(&r)
+	f.Bloom = readBloom(&r)
+	if !r.Done() {
+		return FrameDelta{}, ErrBadFrame
 	}
-	from, err := r.str(maxWireString)
-	if err != nil {
-		return f, err
-	}
-	recs, err := r.records()
-	if err != nil {
-		return f, err
-	}
-	bloom, err := r.bloom()
-	if err != nil {
-		return f, err
-	}
-	if err := r.finish(); err != nil {
-		return f, err
-	}
-	f.From = ids.DeviceID(from)
-	f.Records = recs
-	f.Bloom = bloom
 	return f, nil
 }

@@ -2,12 +2,14 @@ package gossip
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/frame"
 )
 
 func sampleRecords() []Record {
@@ -152,6 +154,96 @@ func TestCodecRejectsMangledFrames(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// resealed damages a frame's body the way the chaos fault plane does
+// and seals it again, so the damage passes the checksum and reaches the
+// body parser: length caps, truncated varints, trailing bytes.
+func resealed(seed uint64, f []byte) []byte {
+	return frame.Seal(faults.Mangle(seed, f[:len(f)-8]))
+}
+
+// roundTrip decodes data with one decoder and, when it decodes, checks
+// the frame survives re-encoding.
+func roundTrip[F any](data []byte, unmarshal func([]byte) (F, error), marshal func(F) []byte) error {
+	in, err := unmarshal(data)
+	if err != nil {
+		return err
+	}
+	out, err := unmarshal(marshal(in))
+	if err != nil || !reflect.DeepEqual(in, out) {
+		return fmt.Errorf("decoded %+v does not round-trip: %+v, %v", in, out, err)
+	}
+	return nil
+}
+
+// nodeSnapshot is everything a rejected frame must leave alone.
+type nodeSnapshot struct {
+	stats   Stats
+	records []Record
+	view    []ViewEntry
+	rng     uint64
+	version uint64
+}
+
+func snapshotNode(n *Node) nodeSnapshot {
+	n.mu.Lock()
+	view, rng := append([]ViewEntry(nil), n.view...), n.rngState
+	n.mu.Unlock()
+	return nodeSnapshot{stats: n.Stats(), records: n.Records(), view: view, rng: rng, version: n.Version()}
+}
+
+// TestResealedCorruption drives body-level damage through every decoder
+// and through a live node's serving steps. A decoder returns
+// ErrBadFrame or a frame that round-trips; a step that rejects the
+// frame leaves the records, the view, the rng and every counter but
+// FramesRejected as they were.
+func TestResealedCorruption(t *testing.T) {
+	t.Parallel()
+	w := newTestWorld(t, 1, Config{}, flatInterests("chess"), []uint64{1})
+	n := w.nodes[0]
+	n.Refresh()
+	steps := []struct {
+		name string
+		step func([]byte) []byte
+	}{
+		{"openStep", func(b []byte) []byte { reply, _ := n.openStep(b); return reply }},
+		{"closingStep", n.closingStep},
+	}
+	decoded, rejected := 0, 0
+	for _, f := range fuzzFrames() {
+		for seed := uint64(0); seed < 300; seed++ {
+			m := resealed(seed, f)
+			for _, err := range []error{
+				roundTrip(m, UnmarshalRumor, MarshalRumor),
+				roundTrip(m, UnmarshalAck, MarshalAck),
+				roundTrip(m, UnmarshalDigest, MarshalDigest),
+				roundTrip(m, UnmarshalDelta, MarshalDelta),
+			} {
+				if err == nil {
+					decoded++
+				} else if !errors.Is(err, ErrBadFrame) {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			for _, s := range steps {
+				before := snapshotNode(n)
+				if s.step(m) != nil {
+					continue
+				}
+				rejected++
+				after := snapshotNode(n)
+				before.stats.FramesRejected++
+				if !reflect.DeepEqual(before, after) {
+					t.Fatalf("seed %d: %s rejected a frame but changed state:\n before %+v\n after  %+v", seed, s.name, before, after)
+				}
+			}
+		}
+	}
+	// Both outcomes must occur, or the damage never reached the body.
+	if decoded == 0 || rejected == 0 {
+		t.Fatalf("re-sealed damage decoded %d times and was rejected %d times; want both", decoded, rejected)
 	}
 }
 
