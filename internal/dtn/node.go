@@ -14,7 +14,7 @@
 // Like internal/gossip, a Node is clockless and externally driven:
 // Round(ctx) executes one contact round and nothing runs on a timer, so
 // the same node runs identically on the goroutine and DES transport
-// engines (on DES as an awaited event cascade) and replays
+// engines (netsim sequences its handshakes on either) and replays
 // byte-for-byte under seeded faults (TraceDigest).
 package dtn
 
@@ -22,14 +22,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/frame"
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -189,8 +187,8 @@ type Params struct {
 }
 
 // Node is one device's store-carry-forward engine. It is driven
-// externally: Round(ctx) executes one contact round; Start installs
-// the listener that serves the passive side of contacts.
+// externally: Round(ctx) executes one contact round; Start serves the
+// passive side of contacts.
 type Node struct {
 	dev       ids.DeviceID
 	neighbors func() []ids.DeviceID
@@ -221,10 +219,7 @@ type Node struct {
 	vaccine    []byte
 	vaccineLen int
 
-	lis     *netsim.Listener
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	svc     *netsim.Service
 	started bool
 }
 
@@ -241,7 +236,6 @@ func NewNode(p Params) (*Node, error) {
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(p.Device))
-	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		dev:       p.Device,
 		neighbors: p.Neighbors,
@@ -255,8 +249,6 @@ func NewNode(p Params) (*Node, error) {
 		delivered: make(map[string]struct{}),
 		consumed:  make(map[string]struct{}),
 		trace:     mix64(uint64(p.Seed) ^ h.Sum64()),
-		ctx:       ctx,
-		cancel:    cancel,
 	}
 	return n, nil
 }
@@ -273,9 +265,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Start binds the DTN port and serves inbound contacts until Stop. On a
-// discrete-event network the listener serves them as event chains
-// (AcceptEvent): no accept loop and no goroutine per connection.
+// Start binds the DTN port and serves inbound contacts until Stop.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
@@ -284,39 +274,19 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 	n.mu.Unlock()
-	lis, err := n.net.Listen(n.dev, Port)
+	svc, err := n.net.Serve(n.dev, Port, n.serveOffer)
 	if err != nil {
 		return err
 	}
-	n.lis = lis
-	if n.net.Scheduler() != nil {
-		lis.AcceptEvent(n.serveEvent)
-		return nil
-	}
-	n.wg.Add(1)
-	go n.acceptLoop(lis)
+	n.svc = svc
 	return nil
 }
 
-// Stop closes the listener, cancels in-flight contacts and waits for
-// every handler goroutine (the leak checker holds us to that).
+// Stop ends the service and waits for every serving goroutine (the
+// leak checker holds us to that).
 func (n *Node) Stop() {
-	n.cancel()
-	if n.lis != nil {
-		n.lis.Close()
-	}
-	n.wg.Wait()
-}
-
-func (n *Node) acceptLoop(lis *netsim.Listener) {
-	defer n.wg.Done()
-	for {
-		conn, err := lis.Accept(n.ctx)
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go n.serve(conn)
+	if n.svc != nil {
+		n.svc.Stop()
 	}
 }
 
@@ -509,20 +479,18 @@ func (n *Node) SendTTL(dst ids.DeviceID, payload []byte, ttl int) (string, error
 // handshake with the selected neighbors. Neighbors holding one of our
 // destinations are always contacted; the rest fill up to Fanout slots
 // in sorted order. The Groups and Neighbors callbacks run on the
-// caller. On the goroutine engine the contacts are blocking calls
-// bounded by ctx; on a discrete-event network they run as one event
-// cascade that the caller awaits (awaitRound), which always finishes in
-// virtual time, so ctx is not consulted there. Both paths build and
-// apply the same frames.
+// caller; netsim.Network.Round sequences the contacts (blocking calls
+// bounded by ctx on the goroutine engine, an awaited event cascade on
+// a discrete-event network).
 func (n *Node) Round(ctx context.Context) {
 	p := n.beginRound()
-	if sched := n.net.Scheduler(); sched != nil {
-		n.awaitRound(sched, p)
-		return
-	}
-	for c, ok := n.nextContact(p); ok; c, ok = n.nextContact(p) {
-		n.exchangeBlocking(ctx, c)
-	}
+	n.net.Round(ctx, n.dev, n.tech, Port, func() (netsim.Handshake, bool) {
+		c, ok := n.nextContact(p)
+		if !ok {
+			return netsim.Handshake{}, false
+		}
+		return n.handshake(c), true
+	})
 }
 
 // contactPlan is one round's contact schedule: the targets chosen in
@@ -743,93 +711,19 @@ func (n *Node) ackStep(c *contact, resp []byte, err error) {
 	}
 }
 
-// exchangeBlocking runs one initiator-side contact with blocking calls:
-// the goroutine engine's path and the differential oracle for the
-// event path.
-func (n *Node) exchangeBlocking(ctx context.Context, c *contact) {
-	conn, err := n.net.Dial(ctx, n.dev, c.peer, n.tech, Port)
-	if err != nil {
-		n.noteExchangeError(c.peer)
-		return
-	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.Send(c.offer); err != nil {
-		n.noteExchangeError(c.peer)
-		return
-	}
-	resp, err := conn.Recv(ctx)
-	bundles := n.wantStep(c, resp, err)
-	if bundles == nil {
-		return
-	}
-	if err := conn.Send(bundles); err != nil {
-		n.noteExchangeError(c.peer)
-		return
-	}
-	resp, err = conn.Recv(ctx)
-	n.ackStep(c, resp, err)
-}
-
-// awaitRound is Round on a discrete-event network: it seeds the
-// round's contacts as one event cascade on this device's home and runs
-// the scheduler on the calling goroutine until the cascade's last step
-// closes done.
-func (n *Node) awaitRound(sched *des.Scheduler, p *contactPlan) {
-	c, ok := n.nextContact(p)
-	if !ok {
-		return
-	}
-	done := make(chan struct{})
-	sched.At(0, netsim.DeviceHome(n.dev), func(ctx *des.Ctx) { n.contactEvent(ctx, p, c, done) })
-	if err := sched.Await(done); err != nil {
-		panic(fmt.Sprintf("dtn: %s: round cascade: %v", n.dev, err))
-	}
-}
-
-// contactEvent runs one contact as a DialEvent → SendEvent(OFFER) →
-// RecvEvent(WANT) → SendEvent(BUNDLES) → RecvEvent(ACK) → CloseEvent
-// chain, then moves on to the round's next contact, or closes done
-// after the last.
-func (n *Node) contactEvent(ctx *des.Ctx, p *contactPlan, c *contact, done chan struct{}) {
-	next := func(ctx *des.Ctx) {
-		if c, ok := n.nextContact(p); ok {
-			n.contactEvent(ctx, p, c, done)
-			return
+// handshake is a contact's initiator side: wantStep takes the WANT and
+// builds BUNDLES, and ackStep moves custody on the closing ACK.
+func (n *Node) handshake(c *contact) netsim.Handshake {
+	return netsim.Handshake{To: c.peer, Open: c.offer, Step: func(resp []byte, err error) ([]byte, netsim.Step) {
+		bundles := n.wantStep(c, resp, err)
+		if bundles == nil {
+			return nil, nil
 		}
-		close(done)
-	}
-	n.net.DialEvent(ctx, n.dev, c.peer, n.tech, Port, func(ctx *des.Ctx, conn *netsim.Conn, err error) {
-		if err != nil {
-			n.noteExchangeError(c.peer)
-			next(ctx)
-			return
+		return bundles, func(resp []byte, err error) ([]byte, netsim.Step) {
+			n.ackStep(c, resp, err)
+			return nil, nil
 		}
-		finish := func(ctx *des.Ctx) {
-			conn.CloseEvent(ctx)
-			next(ctx)
-		}
-		if err := conn.SendEvent(ctx, c.offer); err != nil {
-			n.noteExchangeError(c.peer)
-			finish(ctx)
-			return
-		}
-		conn.RecvEvent(ctx, func(ctx *des.Ctx, resp []byte, err error) {
-			bundles := n.wantStep(c, resp, err)
-			if bundles == nil {
-				finish(ctx)
-				return
-			}
-			if err := conn.SendEvent(ctx, bundles); err != nil {
-				n.noteExchangeError(c.peer)
-				finish(ctx)
-				return
-			}
-			conn.RecvEvent(ctx, func(ctx *des.Ctx, resp []byte, err error) {
-				n.ackStep(c, resp, err)
-				finish(ctx)
-			})
-		})
-	})
+	}}
 }
 
 // --- passive side ---
@@ -891,66 +785,14 @@ func (n *Node) bundlesStep(data []byte) []byte {
 	return MarshalAck(FrameAck{Accepted: accepted})
 }
 
-// serve is the goroutine engine's serving side of one contact.
-func (n *Node) serve(conn *netsim.Conn) {
-	defer n.wg.Done()
-	defer func() { _ = conn.Close() }()
-	data, err := conn.Recv(n.ctx)
-	if err != nil {
-		return
-	}
-	reply := n.offerStep(data)
-	if reply == nil || conn.Send(reply) != nil {
-		return
-	}
-	if data, err = conn.Recv(n.ctx); err != nil {
-		return
-	}
-	if ack := n.bundlesStep(data); ack != nil {
-		_ = conn.Send(ack)
-	}
+// serveOffer and serveBundles are the serving steps: the OFFER, then
+// the BUNDLES.
+func (n *Node) serveOffer(data []byte) ([]byte, netsim.ServeStep) {
+	return n.offerStep(data), n.serveBundles
 }
 
-// serveEvent is the discrete-event engine's accept handler: it arms the
-// serving chain inside the dial-completion event, so no goroutine
-// waits on the connection.
-func (n *Node) serveEvent(ctx *des.Ctx, c *netsim.Conn) {
-	c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
-		if err != nil {
-			c.CloseEvent(ctx)
-			return
-		}
-		if !replyEvent(ctx, c, n.offerStep(data)) {
-			return
-		}
-		c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
-			if err != nil {
-				c.CloseEvent(ctx)
-				return
-			}
-			if replyEvent(ctx, c, n.bundlesStep(data)) {
-				parkEvent(ctx, c)
-			}
-		})
-	})
-}
-
-// replyEvent sends a serving end's reply and reports whether it went
-// out; with no reply, or when the send fails, it closes the conn.
-func replyEvent(ctx *des.Ctx, c *netsim.Conn, reply []byte) bool {
-	if reply != nil && c.SendEvent(ctx, reply) == nil {
-		return true
-	}
-	c.CloseEvent(ctx)
-	return false
-}
-
-// parkEvent holds a serving end open until the initiator closes it.
-// Closing right after the last send would make CloseEvent poll every
-// flush retry while the reply is still in flight; a parked receive
-// costs one callback when the initiator's close arrives.
-func parkEvent(ctx *des.Ctx, c *netsim.Conn) {
-	c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, _ error) { c.CloseEvent(ctx) })
+func (n *Node) serveBundles(data []byte) ([]byte, netsim.ServeStep) {
+	return n.bundlesStep(data), nil
 }
 
 // acceptLocked takes custody of one shipped bundle (or consumes it as

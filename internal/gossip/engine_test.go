@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/des"
@@ -247,51 +246,22 @@ func TestMangledAckFailsPush(t *testing.T) {
 			w := newEngineWorld(t, mode, pos[:1], Config{DisableAntiEntropy: true}, func(i int) Record {
 				return Record{Epoch: 1, Interests: []string{"chess"}}
 			})
-			// The partner is a bare listener that answers any rumor
+			// The partner is a bare service that answers any rumor
 			// with the mangled ack.
 			peer := ids.DeviceID("eng-peer")
 			if err := w.net.Environment().Add(peer, mobility.Static{At: pos[1]}, radio.Bluetooth); err != nil {
 				t.Fatal(err)
 			}
-			lis, err := w.net.Listen(peer, Port)
+			svc, err := w.net.Serve(peer, Port, func([]byte) ([]byte, netsim.ServeStep) { return mangled, nil })
 			if err != nil {
 				t.Fatal(err)
-			}
-			var served sync.WaitGroup
-			if mode == engineGoroutine {
-				served.Add(1)
-				go func() {
-					defer served.Done()
-					ctx := context.Background()
-					c, err := lis.Accept(ctx)
-					if err != nil {
-						return
-					}
-					defer func() { _ = c.Close() }()
-					if _, err := c.Recv(ctx); err == nil && c.Send(mangled) == nil {
-						_, _ = c.Recv(ctx) // until the pusher closes
-					}
-				}()
-			} else {
-				lis.AcceptEvent(func(ctx *des.Ctx, c *netsim.Conn) {
-					c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, err error) {
-						if err != nil {
-							c.CloseEvent(ctx)
-							return
-						}
-						if replyEvent(ctx, c, mangled) {
-							parkEvent(ctx, c)
-						}
-					})
-				})
 			}
 			node := w.nodes[0]
 			node.mu.Lock()
 			node.peerHave[peer] = NewBloom(1, 0.01, 1) // a cached digest covering nothing
 			node.mu.Unlock()
 			node.Round(context.Background())
-			served.Wait()
-			lis.Close()
+			svc.Stop()
 			s := node.Stats()
 			if s.PushErrors != 1 || s.FramesRejected != 1 || s.PushesSent != 0 {
 				t.Fatalf("mangled ack accounted as %+v, want one push error and one rejected frame", s)

@@ -3,13 +3,11 @@ package gossip
 import (
 	"context"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/frame"
 	"repro/internal/ids"
 	"repro/internal/interest"
@@ -134,9 +132,8 @@ type Params struct {
 // Round(ctx) executes one gossip round (rumor pushes, then possibly an
 // anti-entropy exchange); nothing runs on a timer, which keeps the
 // schedule deterministic under the sequential chaos driver and makes
-// the node engine-agnostic (goroutine and DES transports both just
-// call Round; on DES the round runs as an awaited event cascade).
-// Start installs the listener that serves the passive side.
+// the node engine-agnostic (netsim sequences its handshakes on either
+// transport engine). Start serves the passive side.
 type Node struct {
 	dev       ids.DeviceID
 	member    ids.MemberID
@@ -158,10 +155,7 @@ type Node struct {
 	version  uint64
 	stats    Stats
 
-	lis     *netsim.Listener
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
+	svc     *netsim.Service
 	started bool
 }
 
@@ -178,7 +172,6 @@ func NewNode(p Params) (*Node, error) {
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(p.Device))
-	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		dev:       p.Device,
 		member:    p.Member,
@@ -196,15 +189,11 @@ func NewNode(p Params) (*Node, error) {
 		hot:      make(map[ids.MemberID]int),
 		peerHave: make(map[ids.DeviceID]*Bloom),
 		rngState: mix64(uint64(p.Seed) ^ h.Sum64()),
-		ctx:      ctx,
-		cancel:   cancel,
 	}
 	return n, nil
 }
 
 // Start binds the gossip port and serves inbound exchanges until Stop.
-// On a discrete-event network the listener serves them as event chains
-// (AcceptEvent): no accept loop and no goroutine per connection.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
@@ -213,39 +202,19 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 	n.mu.Unlock()
-	lis, err := n.net.Listen(n.dev, Port)
+	svc, err := n.net.Serve(n.dev, Port, n.serveOpen)
 	if err != nil {
 		return err
 	}
-	n.lis = lis
-	if n.net.Scheduler() != nil {
-		lis.AcceptEvent(n.serveEvent)
-		return nil
-	}
-	n.wg.Add(1)
-	go n.acceptLoop(lis)
+	n.svc = svc
 	return nil
 }
 
-// Stop closes the listener, cancels in-flight exchanges and waits for
-// every handler goroutine (the leak checker holds us to that).
+// Stop ends the service and waits for every serving goroutine (the
+// leak checker holds us to that).
 func (n *Node) Stop() {
-	n.cancel()
-	if n.lis != nil {
-		n.lis.Close()
-	}
-	n.wg.Wait()
-}
-
-func (n *Node) acceptLoop(lis *netsim.Listener) {
-	defer n.wg.Done()
-	for {
-		conn, err := lis.Accept(n.ctx)
-		if err != nil {
-			return
-		}
-		n.wg.Add(1)
-		go n.serve(conn)
+	if n.svc != nil {
+		n.svc.Stop()
 	}
 }
 
@@ -357,21 +326,19 @@ func maskBit(mask []byte, i int) bool {
 // Round executes one gossip round: refresh the local record, push hot
 // rumors to socially sampled partners, and every AEEvery-th round run
 // one anti-entropy reconciliation with a uniformly drawn neighbor. The
-// Self and Neighbors callbacks run on the caller. On the goroutine
-// engine the exchanges are blocking calls bounded by ctx; on a
-// discrete-event network they run as one event cascade that the caller
-// awaits (awaitRound), which always finishes in virtual time, so ctx is
-// not consulted there. Both paths walk the same plan and build and
-// apply the same frames.
+// Self and Neighbors callbacks run on the caller; netsim.Network.Round
+// sequences the handshakes (blocking calls bounded by ctx on the
+// goroutine engine, an awaited event cascade on a discrete-event
+// network).
 func (n *Node) Round(ctx context.Context) {
 	p := n.beginRound()
-	if sched := n.net.Scheduler(); sched != nil {
-		n.awaitRound(sched, p)
-	} else {
-		for x, ok := n.nextExchange(p); ok; x, ok = n.nextExchange(p) {
-			n.exchangeBlocking(ctx, x)
+	n.net.Round(ctx, n.dev, n.tech, Port, func() (netsim.Handshake, bool) {
+		x, ok := n.nextExchange(p)
+		if !ok {
+			return netsim.Handshake{}, false
 		}
-	}
+		return n.handshake(x), true
+	})
 	n.mu.Lock()
 	n.ageView()
 	n.mu.Unlock()
@@ -542,98 +509,24 @@ func (n *Node) reject() {
 	n.mu.Unlock()
 }
 
-// exchangeBlocking runs one handshake with blocking calls: the
-// goroutine engine's path and the differential oracle for the event
-// path. An anti-entropy run waits for the partner's final ack, so the
-// exchange is fully applied on both sides before the round returns
-// (the sequential chaos driver relies on rounds being settled).
-func (n *Node) exchangeBlocking(ctx context.Context, x exchange) {
-	conn, err := n.net.Dial(ctx, n.dev, x.partner, n.tech, Port)
-	if err != nil {
-		n.failExchange(x)
-		return
-	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.Send(x.frame); err != nil {
-		n.failExchange(x)
-		return
-	}
-	resp, err := conn.Recv(ctx)
-	closing := n.replyStep(x, resp, err)
-	if closing == nil {
-		return
-	}
-	if err := conn.Send(closing); err != nil {
-		n.failExchange(x)
-		return
-	}
-	if _, err := conn.Recv(ctx); err != nil {
-		n.failExchange(x)
-	}
-}
-
-// awaitRound is Round on a discrete-event network: it seeds the
-// round's exchanges as one event cascade on this device's home and
-// runs the scheduler on the calling goroutine until the cascade's last
-// step closes done. The prologue (callbacks, first partner draw) has
-// already run on the caller.
-func (n *Node) awaitRound(sched *des.Scheduler, p *roundPlan) {
-	x, ok := n.nextExchange(p)
-	if !ok {
-		return
-	}
-	done := make(chan struct{})
-	sched.At(0, netsim.DeviceHome(n.dev), func(ctx *des.Ctx) { n.exchangeEvent(ctx, p, x, done) })
-	if err := sched.Await(done); err != nil {
-		panic(fmt.Sprintf("gossip: %s: round cascade: %v", n.dev, err))
-	}
-}
-
-// exchangeEvent runs one handshake as a DialEvent → SendEvent →
-// RecvEvent (→ SendEvent → RecvEvent) → CloseEvent chain, then moves
-// on to the round's next exchange, or closes done after the last.
-func (n *Node) exchangeEvent(ctx *des.Ctx, p *roundPlan, x exchange, done chan struct{}) {
-	next := func(ctx *des.Ctx) {
-		if x, ok := n.nextExchange(p); ok {
-			n.exchangeEvent(ctx, p, x, done)
-			return
+// handshake is an exchange's initiator side: replyStep takes the reply
+// to the opening frame, and the closing delta an anti-entropy run owes
+// waits for the partner's final ack, so the exchange is fully applied
+// on both sides before the round returns (the sequential chaos driver
+// relies on rounds being settled).
+func (n *Node) handshake(x exchange) netsim.Handshake {
+	return netsim.Handshake{To: x.partner, Open: x.frame, Step: func(resp []byte, err error) ([]byte, netsim.Step) {
+		closing := n.replyStep(x, resp, err)
+		if closing == nil {
+			return nil, nil
 		}
-		close(done)
-	}
-	n.net.DialEvent(ctx, n.dev, x.partner, n.tech, Port, func(ctx *des.Ctx, c *netsim.Conn, err error) {
-		if err != nil {
-			n.failExchange(x)
-			next(ctx)
-			return
-		}
-		finish := func(ctx *des.Ctx) {
-			c.CloseEvent(ctx)
-			next(ctx)
-		}
-		if err := c.SendEvent(ctx, x.frame); err != nil {
-			n.failExchange(x)
-			finish(ctx)
-			return
-		}
-		c.RecvEvent(ctx, func(ctx *des.Ctx, resp []byte, err error) {
-			closing := n.replyStep(x, resp, err)
-			if closing == nil {
-				finish(ctx)
-				return
-			}
-			if err := c.SendEvent(ctx, closing); err != nil {
+		return closing, func(_ []byte, err error) ([]byte, netsim.Step) {
+			if err != nil {
 				n.failExchange(x)
-				finish(ctx)
-				return
 			}
-			c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, err error) {
-				if err != nil {
-					n.failExchange(x)
-				}
-				finish(ctx)
-			})
-		})
-	})
+			return nil, nil
+		}
+	}}
 }
 
 // --- passive side ---
@@ -701,71 +594,18 @@ func (n *Node) closingStep(data []byte) []byte {
 	return MarshalAck(FrameAck{})
 }
 
-// serve is the goroutine engine's serving side of one connection.
-func (n *Node) serve(conn *netsim.Conn) {
-	defer n.wg.Done()
-	defer func() { _ = conn.Close() }()
-	data, err := conn.Recv(n.ctx)
-	if err != nil {
-		return
-	}
+// serveOpen and serveClosing are the serving steps: an opening frame,
+// then the closing delta when an anti-entropy run owes one.
+func (n *Node) serveOpen(data []byte) ([]byte, netsim.ServeStep) {
 	reply, more := n.openStep(data)
-	if reply == nil || conn.Send(reply) != nil || !more {
-		return
+	if !more {
+		return reply, nil
 	}
-	if data, err = conn.Recv(n.ctx); err != nil {
-		return
-	}
-	if ack := n.closingStep(data); ack != nil {
-		_ = conn.Send(ack)
-	}
+	return reply, n.serveClosing
 }
 
-// serveEvent is the discrete-event engine's accept handler: it arms the
-// serving chain inside the dial-completion event, so no goroutine
-// waits on the connection.
-func (n *Node) serveEvent(ctx *des.Ctx, c *netsim.Conn) {
-	c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
-		if err != nil {
-			c.CloseEvent(ctx)
-			return
-		}
-		reply, more := n.openStep(data)
-		if !replyEvent(ctx, c, reply) {
-			return
-		}
-		if !more {
-			parkEvent(ctx, c)
-			return
-		}
-		c.RecvEvent(ctx, func(ctx *des.Ctx, data []byte, err error) {
-			if err != nil {
-				c.CloseEvent(ctx)
-				return
-			}
-			if replyEvent(ctx, c, n.closingStep(data)) {
-				parkEvent(ctx, c)
-			}
-		})
-	})
-}
-
-// replyEvent sends a serving end's reply and reports whether it went
-// out; with no reply, or when the send fails, it closes the conn.
-func replyEvent(ctx *des.Ctx, c *netsim.Conn, reply []byte) bool {
-	if reply != nil && c.SendEvent(ctx, reply) == nil {
-		return true
-	}
-	c.CloseEvent(ctx)
-	return false
-}
-
-// parkEvent holds a serving end open until the initiator closes it.
-// Closing right after the last send would make CloseEvent poll every
-// flush retry while the reply is still in flight; a parked receive
-// costs one callback when the initiator's close arrives.
-func parkEvent(ctx *des.Ctx, c *netsim.Conn) {
-	c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, _ error) { c.CloseEvent(ctx) })
+func (n *Node) serveClosing(data []byte) ([]byte, netsim.ServeStep) {
+	return n.closingStep(data), nil
 }
 
 // --- views ---

@@ -22,22 +22,21 @@ import (
 // its groups — on the goroutine transport engine and on the
 // discrete-event engine. On the goroutine engine every modeled duration
 // is a (scaled) real timer wait, so wall-clock grows with device count
-// times timer granularity; on the event engine the workload drivers ARE
-// events (esDriver): each device's round is a self-rescheduling cascade
-// of DialEvent/SendEvent/RecvEvent/CloseEvent continuations, so the
-// sweep spawns O(shards) goroutines instead of O(devices), shared
-// deadlines collapse into windows, and the scheduler's worker pool
-// executes the per-window shard batches on every core — which is what
-// pushes the sweep from the goroutine engine's ~2k ceiling to 100k
-// devices. The Wave-pool goroutine drivers survive behind
-// DriverGoroutines as the differential oracle at n ≤ 200.
+// times timer granularity, and a Wave pool of goroutines drives the
+// devices through blocking netsim.Network.Round calls. On the event
+// engine the drivers ARE events (esDriver.startRound): each device's
+// round is a self-rescheduling RoundEvent cascade, so the sweep spawns
+// O(shards) goroutines instead of O(devices), shared deadlines collapse
+// into windows, and the scheduler's worker pool executes the per-window
+// shard batches on every core — which is what pushes the sweep from the
+// goroutine engine's ~2k ceiling to 100k devices. Both engines walk the
+// same round plan (esDriver) through netsim's one handshake sequencer.
 
 // EngineScalePoint is one measured sweep at one world size.
 type EngineScalePoint struct {
 	Devices int
-	// Engine is "goroutine" (goroutine transport engine), "des" (event
-	// drivers on the discrete-event engine) or "des-goro" (the oracle:
-	// goroutine Wave-pool drivers on the discrete-event engine).
+	// Engine is "goroutine" (goroutine transport engine) or "des" (event
+	// drivers on the discrete-event engine).
 	Engine string
 	// Workers is the event engine's executor count (0 on the goroutine
 	// engine).
@@ -76,11 +75,10 @@ type EngineScaleConfig struct {
 	// Fanout caps how many neighbors each device exchanges interests
 	// with per round (default 3).
 	Fanout int
-	// Wave bounds concurrent device drivers on the goroutine-driver
-	// paths only — the plain goroutine engine and the DriverGoroutines
-	// oracle — where a sweep must not need 50k simultaneous goroutines
-	// (default 2048). The DES path schedules drivers as events and
-	// never reads it.
+	// Wave bounds concurrent device drivers on the goroutine engine,
+	// where a sweep must not need 50k simultaneous goroutines (default
+	// 2048). The DES path schedules drivers as events and never reads
+	// it.
 	Wave int
 	// DES selects the discrete-event engine with event-native workload
 	// drivers; Shards overrides its shard count (default 8) and Workers
@@ -88,10 +86,6 @@ type EngineScaleConfig struct {
 	DES     bool
 	Shards  int
 	Workers int
-	// DriverGoroutines runs the Wave-pool goroutine drivers on the DES
-	// engine (integrated mode) instead of event drivers — the
-	// differential oracle the event cascade is held to at small n.
-	DriverGoroutines bool
 }
 
 func (c EngineScaleConfig) withDefaults() EngineScaleConfig {
@@ -155,7 +149,6 @@ func RunEngineScale(cfg EngineScaleConfig, deviceCounts []int) ([]EngineScalePoi
 }
 
 func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error) {
-	ctx := context.Background()
 	seed := cfg.Seed + int64(n)
 	opts := []radio.Option{radio.WithScale(cfg.Scale)}
 	var sched *des.Scheduler
@@ -172,94 +165,69 @@ func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error)
 		return EngineScalePoint{}, err
 	}
 	var net *netsim.Network
-	eventDrivers := cfg.DES && !cfg.DriverGoroutines
 	if cfg.DES {
 		net = netsim.NewDES(env, seed, sched)
-		if !eventDrivers {
-			// Goroutine drivers block on the scheduler's clock, so the
-			// background runner must advance time; event drivers drain
-			// synchronously with Run and never need it.
-			sched.Start()
-			defer sched.Stop()
-		}
 	} else {
 		net = netsim.New(env, seed)
 	}
 	defer net.Close()
 
-	// Every device serves its interest advertisement on port "esd". On
-	// the goroutine-driver paths that is one accept loop per device plus
-	// one short-lived handler goroutine per exchange; with event drivers
-	// the listener's AcceptEvent handler arms a RecvEvent/SendEvent
-	// serve chain instead, and no serving goroutine ever exists.
-	for i, dev := range devs {
-		l, err := net.Listen(dev, "esd")
-		if err != nil {
-			return EngineScalePoint{}, err
-		}
-		ad := engineScaleAd(dev, engineScaleInterests(i))
-		if eventDrivers {
-			srv := &esServer{ad: ad}
-			l.AcceptEvent(srv.accept)
-			continue
-		}
-		go func() {
-			for {
-				c, err := l.Accept(ctx)
-				if err != nil {
-					return
-				}
-				go func(c *netsim.Conn) {
-					defer func() { _ = c.Close() }()
-					for {
-						if _, err := c.Recv(ctx); err != nil {
-							return
-						}
-						if c.Send(ad) != nil {
-							return
-						}
-					}
-				}(c)
-			}
-		}()
-	}
-
 	clock := env.Clock()
 	inquiry := env.Scale().ToReal(env.PHY(radio.Bluetooth).InquiryDuration)
 	var groupsTotal atomic.Int64
+	// Every device serves its interest advertisement on port "esd",
+	// answering each ad it receives with its own.
+	drivers := make([]*esDriver, n)
+	services := make([]*netsim.Service, 0, n)
+	defer func() {
+		for _, s := range services {
+			s.Stop()
+		}
+	}()
+	for i, dev := range devs {
+		d := &esDriver{
+			cfg: cfg, env: env, net: net,
+			dev: dev, home: netsim.DeviceHome(dev),
+			inquiry: inquiry, groupsTotal: &groupsTotal,
+			self: core.Member{Device: dev, ID: ids.MemberID(dev), Interests: engineScaleInterests(i)},
+		}
+		d.ad = engineScaleAd(dev, d.self.Interests)
+		var serveAd netsim.ServeStep
+		serveAd = func([]byte) ([]byte, netsim.ServeStep) { return d.ad, serveAd }
+		s, err := net.Serve(dev, "esd", serveAd)
+		if err != nil {
+			return EngineScalePoint{}, err
+		}
+		services = append(services, s)
+		drivers[i] = d
+	}
+
 	virtStart := clock.Now()
 	sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())
-
-	if eventDrivers {
+	if cfg.DES {
 		// Drivers as events: seed every device's first round (device
 		// order, so the pre-run sequence draws replay), then drain the
 		// cascade on the calling goroutine — the worker pool inside Run
 		// is the only concurrency.
-		for i := range devs {
-			d := &esDriver{
-				cfg: cfg, env: env, net: net,
-				dev: devs[i], home: netsim.DeviceHome(devs[i]),
-				inquiry: inquiry, groupsTotal: &groupsTotal,
-				self: core.Member{Device: devs[i], ID: ids.MemberID(devs[i]), Interests: engineScaleInterests(i)},
-			}
-			d.ad = engineScaleAd(d.dev, d.self.Interests)
+		for _, d := range drivers {
 			sched.At(inquiry, d.home, d.startRound)
 		}
 		sched.Run()
 	} else {
+		ctx := context.Background()
 		for round := 0; round < cfg.Rounds; round++ {
 			idx := make(chan int)
 			var wg sync.WaitGroup
-			workers := cfg.Wave
-			if workers > n {
-				workers = n
-			}
-			for w := 0; w < workers; w++ {
+			for w := 0; w < min(cfg.Wave, n); w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					for i := range idx {
-						driveEngineScaleDevice(ctx, cfg, env, net, clock, inquiry, devs, i, &groupsTotal)
+						d := drivers[i]
+						clock.Sleep(inquiry)
+						d.begin()
+						net.Round(ctx, d.dev, radio.Bluetooth, "esd", d.next)
+						d.finish()
 					}
 				}()
 			}
@@ -283,9 +251,6 @@ func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error)
 	}
 	if cfg.DES {
 		point.Engine = "des"
-		if cfg.DriverGoroutines {
-			point.Engine = "des-goro"
-		}
 		point.Workers = sched.Workers()
 		point.Events = sched.EventsExecuted()
 		point.TraceHash = sched.TraceHash()
@@ -296,42 +261,13 @@ func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error)
 	return point, nil
 }
 
-// esServer is one device's event-mode advertisement service: the
-// accept handler arms a recursive serve chain — receive an ad, answer
-// with ours, wait for the next — that lives entirely in delivery
-// events, replacing the accept-loop and per-exchange handler
-// goroutines of the goroutine-driver paths.
-type esServer struct {
-	ad []byte
-}
-
-func (s *esServer) accept(ctx *des.Ctx, c *netsim.Conn) {
-	s.serve(ctx, c)
-}
-
-func (s *esServer) serve(ctx *des.Ctx, c *netsim.Conn) {
-	c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, err error) {
-		if err != nil {
-			c.CloseEvent(ctx)
-			return
-		}
-		if c.SendEvent(ctx, s.ad) != nil {
-			c.CloseEvent(ctx)
-			return
-		}
-		s.serve(ctx, c)
-	})
-}
-
-// esDriver is one device's workload driver as an event cascade: the
-// event-native translation of driveEngineScaleDevice, step for step —
-// the inquiry window is a scheduled delay instead of a clock sleep,
-// each capped-fanout exchange is a DialEvent → SendEvent → RecvEvent →
-// CloseEvent continuation chain instead of four blocking calls, and
-// the next round reschedules startRound. Every continuation runs on
-// this device's home (dial completions, deliveries and teardowns are
-// all scheduled there), so driver state needs no locks: events on one
-// home are ordered, whatever the shard or worker count.
+// esDriver is one device's discovery driver: after the inquiry window,
+// an epoch-pinned neighborhood query, a capped-fanout exchange of
+// interest ads with the first neighbors, then group formation. On the
+// event engine every continuation runs on this device's home (dial
+// completions, deliveries and teardowns are all scheduled there), so
+// driver state needs no locks: events on one home are ordered, whatever
+// the shard or worker count.
 type esDriver struct {
 	cfg         EngineScaleConfig
 	env         *radio.Environment
@@ -343,98 +279,64 @@ type esDriver struct {
 	self        core.Member
 	ad          []byte
 
-	round  int
+	rounds int
 	neigh  []ids.DeviceID
 	j      int
 	nearby []core.Member
 }
 
-// startRound fires after the device's inquiry window: neighborhood
-// query (epoch-pinned, see driveEngineScaleDevice), then the exchange
-// chain.
-func (d *esDriver) startRound(ctx *des.Ctx) {
+// begin starts a round with the neighborhood query. It is pinned to an
+// inquiry-sized epoch: the world is static here, so the answer is the
+// same at any instant — but on the event engine every device wakes at
+// its own virtual nanosecond, and un-pinned queries would each rebuild
+// the O(n) world snapshot instead of sharing one per epoch (the radio
+// package's query-epoch rule; at 10k devices that rebuild is the whole
+// sweep's cost).
+func (d *esDriver) begin() {
 	epoch := d.env.Elapsed().Truncate(d.env.PHY(radio.Bluetooth).InquiryDuration)
 	d.neigh = d.env.NeighborsAt(d.dev, radio.Bluetooth, epoch)
 	d.nearby = d.nearby[:0]
 	d.j = 0
-	d.nextExchange(ctx)
 }
 
-// nextExchange dials the next capped-fanout neighbor, or finishes the
-// round when the cap (or the neighborhood) is exhausted. Failures at
-// any step skip to the next neighbor, exactly like the blocking
-// driver.
-func (d *esDriver) nextExchange(ctx *des.Ctx) {
+// next draws the round's next capped-fanout exchange: our ad out, the
+// neighbor's ad back. A failed exchange just skips the neighbor.
+func (d *esDriver) next() (netsim.Handshake, bool) {
 	if d.j >= d.cfg.Fanout || d.j >= len(d.neigh) {
-		d.finishRound(ctx)
-		return
+		return netsim.Handshake{}, false
 	}
 	peer := d.neigh[d.j]
 	d.j++
-	d.net.DialEvent(ctx, d.dev, peer, radio.Bluetooth, "esd", func(ctx *des.Ctx, c *netsim.Conn, err error) {
-		if err != nil {
-			d.nextExchange(ctx)
-			return
-		}
-		if c.SendEvent(ctx, d.ad) != nil {
-			c.CloseEvent(ctx)
-			d.nextExchange(ctx)
-			return
-		}
-		c.RecvEvent(ctx, func(ctx *des.Ctx, msg []byte, err error) {
-			if err == nil {
-				if ints, ok := engineScaleParse(msg); ok {
-					d.nearby = append(d.nearby, core.Member{Device: peer, ID: ids.MemberID(peer), Interests: ints})
-				}
+	return netsim.Handshake{To: peer, Open: d.ad, Step: func(msg []byte, err error) ([]byte, netsim.Step) {
+		if err == nil {
+			if ints, ok := engineScaleParse(msg); ok {
+				d.nearby = append(d.nearby, core.Member{Device: peer, ID: ids.MemberID(peer), Interests: ints})
 			}
-			c.CloseEvent(ctx)
-			d.nextExchange(ctx)
-		})
-	})
+		}
+		return nil, nil
+	}}, true
 }
 
-// finishRound forms the round's groups and schedules the next round's
-// inquiry window, retiring the cascade after the last round.
-func (d *esDriver) finishRound(ctx *des.Ctx) {
+// finish forms the round's groups.
+func (d *esDriver) finish() {
 	d.groupsTotal.Add(int64(len(core.DiscoverGroups(d.self, d.nearby, nil))))
-	d.round++
-	if d.round < d.cfg.Rounds {
+}
+
+// startRound is a round on the event engine; it fires after the
+// device's inquiry window.
+func (d *esDriver) startRound(ctx *des.Ctx) {
+	d.begin()
+	d.net.RoundEvent(ctx, d.dev, radio.Bluetooth, "esd", d.next, d.endRound)
+}
+
+// endRound forms the round's groups and schedules the next round's
+// inquiry window, retiring the cascade after the last round.
+func (d *esDriver) endRound(ctx *des.Ctx) {
+	d.finish()
+	d.rounds++
+	if d.rounds < d.cfg.Rounds {
 		ctx.At(d.inquiry, d.home, d.startRound)
 	}
-}
-
-// driveEngineScaleDevice runs one device's discovery round: inquiry
-// window, neighborhood query, capped-fanout interest exchange, group
-// formation.
-func driveEngineScaleDevice(ctx context.Context, cfg EngineScaleConfig, env *radio.Environment, net *netsim.Network, clock vtime.Clock, inquiry time.Duration, devs []ids.DeviceID, i int, groupsTotal *atomic.Int64) {
-	clock.Sleep(inquiry)
-	dev := devs[i]
-	// Pin the neighborhood query to an inquiry-sized epoch. The world is
-	// static here, so the answer is the same at any instant — but on the
-	// event engine every device wakes at its own virtual nanosecond, and
-	// un-pinned queries would each rebuild the O(n) world snapshot
-	// instead of sharing one per epoch (the radio package's query-epoch
-	// rule; at 10k devices that rebuild is the whole sweep's cost).
-	epoch := env.Elapsed().Truncate(env.PHY(radio.Bluetooth).InquiryDuration)
-	neigh := env.NeighborsAt(dev, radio.Bluetooth, epoch)
-	self := core.Member{Device: dev, ID: ids.MemberID(dev), Interests: engineScaleInterests(i)}
-	var nearby []core.Member
-	ad := engineScaleAd(dev, self.Interests)
-	for j := 0; j < cfg.Fanout && j < len(neigh); j++ {
-		c, err := net.Dial(ctx, dev, neigh[j], radio.Bluetooth, "esd")
-		if err != nil {
-			continue
-		}
-		if c.Send(ad) == nil {
-			if msg, err := c.Recv(ctx); err == nil {
-				if ints, ok := engineScaleParse(msg); ok {
-					nearby = append(nearby, core.Member{Device: neigh[j], ID: ids.MemberID(neigh[j]), Interests: ints})
-				}
-			}
-		}
-		_ = c.Close()
-	}
-	groupsTotal.Add(int64(len(core.DiscoverGroups(self, nearby, nil))))
 }
 
 // FormatEngineScale renders the series as a table.

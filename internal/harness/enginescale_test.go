@@ -63,12 +63,11 @@ func TestEngineScaleDESPushesPastGoroutineSizes(t *testing.T) {
 }
 
 // TestEngineScaleEventDriversMatchOracles is the driver differential:
-// at n ≤ 200 the event-driver sweep must form exactly the groups and
-// deliver exactly the messages of BOTH goroutine-driver paths — the
-// Wave pool on the goroutine engine and the Wave pool on the DES
-// engine (DriverGoroutines, integrated mode). Groups and Delivered
-// are timing-independent observables of the same protocol, so any
-// divergence is an event-translation bug, not schedule noise.
+// at n ≤ 200 the event-driver sweep on the DES engine must form exactly
+// the groups and deliver exactly the messages of the goroutine engine's
+// Wave-pool drivers. Groups and Delivered are timing-independent
+// observables of the same protocol, so any divergence is an
+// event-translation bug, not schedule noise.
 func TestEngineScaleEventDriversMatchOracles(t *testing.T) {
 	for _, n := range []int{40, 200} {
 		run := func(cfg EngineScaleConfig) EngineScalePoint {
@@ -81,15 +80,9 @@ func TestEngineScaleEventDriversMatchOracles(t *testing.T) {
 		}
 		event := run(EngineScaleConfig{Seed: 7, DES: true})
 		goro := run(EngineScaleConfig{Seed: 7})
-		oracle := run(EngineScaleConfig{Seed: 7, DES: true, DriverGoroutines: true})
-		if oracle.Engine != "des-goro" {
-			t.Fatalf("oracle engine label %q, want des-goro", oracle.Engine)
-		}
-		for _, ref := range []EngineScalePoint{goro, oracle} {
-			if event.Groups != ref.Groups || event.Delivered != ref.Delivered {
-				t.Errorf("n=%d: event drivers (groups=%d delivered=%d) != %s drivers (groups=%d delivered=%d)",
-					n, event.Groups, event.Delivered, ref.Engine, ref.Groups, ref.Delivered)
-			}
+		if event.Groups != goro.Groups || event.Delivered != goro.Delivered {
+			t.Errorf("n=%d: event drivers (groups=%d delivered=%d) != goroutine drivers (groups=%d delivered=%d)",
+				n, event.Groups, event.Delivered, goro.Groups, goro.Delivered)
 		}
 		if event.Groups == 0 || event.Delivered == 0 {
 			t.Errorf("n=%d: differential compared empty sweeps: %+v", n, event)

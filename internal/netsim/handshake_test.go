@@ -1,0 +1,352 @@
+package netsim
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/des"
+	"repro/internal/geo"
+	"repro/internal/ids"
+	"repro/internal/radio"
+	"repro/internal/vtime"
+)
+
+// hsWorld builds the handshake tests' world on one engine: initiator
+// hs-a, server hs-b and the listener-less hs-c in Bluetooth range of
+// one another, and hs-far out of range. The goroutine engine runs on a
+// manual clock that never advances, at a scale that rounds every
+// modeled delay to zero: nothing sleeps, and the link sweeper, whose
+// wait is floored at 1 ms, never wakes. The event engine runs at the
+// default scale, where a dial takes 1.28 ms, a message 30 µs and the
+// sweep's first step comes 1 ms after the dial, past every handshake
+// here. A Partition is then noticed only by the delivery it breaks, on
+// both engines, and counted once.
+func hsWorld(t *testing.T, useDES bool) (*Network, *des.Scheduler) {
+	t.Helper()
+	var opts []radio.Option
+	var sched *des.Scheduler
+	if useDES {
+		sched = des.NewScheduler(1, 2)
+		opts = []radio.Option{radio.WithScale(vtime.DefaultScale()), radio.WithClock(sched.Clock())}
+	} else {
+		opts = []radio.Option{radio.WithScale(vtime.NewScale(1e-12)), radio.WithClock(vtime.NewManual(time.Unix(0, 0)))}
+	}
+	env := radio.NewEnvironment(opts...)
+	addStatic(t, env, "hs-a", geo.Pt(0, 0), radio.Bluetooth)
+	addStatic(t, env, "hs-b", geo.Pt(3, 0), radio.Bluetooth)
+	addStatic(t, env, "hs-c", geo.Pt(0, 3), radio.Bluetooth)
+	addStatic(t, env, "hs-far", geo.Pt(500, 0), radio.Bluetooth)
+	var net *Network
+	if useDES {
+		net = NewDES(env, 1, sched)
+	} else {
+		net = New(env, 1)
+	}
+	t.Cleanup(net.Close)
+	return net, sched
+}
+
+// pairTracker remembers every conn pair that is live while a step runs,
+// so a test can check that each one ends released: both ends' user
+// holds dropped, no hold left on the pair and no operation inside it.
+type pairTracker struct {
+	net   *Network
+	mu    sync.Mutex
+	pairs map[*connPair]bool
+}
+
+func newPairTracker(net *Network) *pairTracker {
+	return &pairTracker{net: net, pairs: make(map[*connPair]bool)}
+}
+
+func (p *pairTracker) see() {
+	p.net.mu.Lock()
+	defer p.net.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c := range p.net.conns {
+		p.pairs[c.pair] = true
+	}
+}
+
+// checkReleased waits for the goroutine engine's pumps to let go, then
+// fails the test for any tracked pair still held.
+func (p *pairTracker) checkReleased(t *testing.T) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	held := func(cp *connPair) bool {
+		return cp.refs.Load() != 0 || !cp.ends[0].released.Load() || !cp.ends[1].released.Load() ||
+			cp.ends[0].ops.Load() != 0 || cp.ends[1].ops.Load() != 0
+	}
+	for cp := range p.pairs {
+		for deadline := time.Now().Add(5 * time.Second); held(cp) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if held(cp) {
+			t.Errorf("a conn pair is still held: refs=%d released=%v/%v", cp.refs.Load(), cp.ends[0].released.Load(), cp.ends[1].released.Load())
+		}
+	}
+	p.net.mu.Lock()
+	defer p.net.mu.Unlock()
+	if len(p.net.conns) != 0 {
+		t.Errorf("%d conns still tracked after the round", len(p.net.conns))
+	}
+}
+
+// hsCase is one scripted handshake from hs-a: the partner, the replies
+// the service at hs-b gives (an empty one rejects; the service serves
+// as many requests as it has replies), how many round trips the
+// initiator makes, whether its first step partitions the pair before
+// sending the second request, and how many of its steps must be given
+// an error.
+type hsCase struct {
+	name      string
+	to        ids.DeviceID
+	replies   []string
+	trips     int
+	partition bool
+	errs      int
+}
+
+// hsRun is what one engine observed running a case.
+type hsRun struct {
+	steps    []string // initiator steps, in order
+	errs     int      // initiator steps given an error
+	requests []string // serving steps, in order
+	counters Counters
+}
+
+// serveScript serves replies in order; the step after the last is nil.
+func serveScript(replies []string, log *[]string, seen func()) ServeStep {
+	var step func(i int) ServeStep
+	step = func(i int) ServeStep {
+		return func(req []byte) ([]byte, ServeStep) {
+			seen()
+			*log = append(*log, fmt.Sprintf("request %d: %q", i+1, req))
+			var reply []byte
+			if replies[i] != "" {
+				reply = []byte(replies[i])
+			}
+			if i+1 == len(replies) {
+				return reply, nil
+			}
+			return reply, step(i + 1)
+		}
+	}
+	return step(0)
+}
+
+// initiate is the case's handshake: requests q1..q<trips>, each step
+// logging the reply or the error it was given.
+func initiate(net *Network, c hsCase, run *hsRun, seen func()) Handshake {
+	var step func(i int) Step
+	step = func(i int) Step {
+		return func(reply []byte, err error) ([]byte, Step) {
+			seen()
+			run.steps = append(run.steps, fmt.Sprintf("step %d: reply %q, err %v", i, reply, err))
+			if err != nil {
+				run.errs++
+			}
+			if err != nil || i == c.trips {
+				return nil, nil
+			}
+			if c.partition {
+				net.Partition("hs-a", c.to)
+			}
+			return []byte(fmt.Sprintf("q%d", i+1)), step(i + 1)
+		}
+	}
+	return Handshake{To: c.to, Open: []byte("q1"), Step: step(1)}
+}
+
+// one draws h once, then ends the round.
+func one(h Handshake) func() (Handshake, bool) {
+	drawn := false
+	return func() (Handshake, bool) {
+		if drawn {
+			return Handshake{}, false
+		}
+		drawn = true
+		return h, true
+	}
+}
+
+func runHandshakeCase(t *testing.T, useDES bool, c hsCase) hsRun {
+	t.Helper()
+	net, _ := hsWorld(t, useDES)
+	tracker := newPairTracker(net)
+	var run hsRun
+	svc, err := net.Serve("hs-b", "hs", serveScript(c.replies, &run.requests, tracker.see))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A handshake that never ends fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	net.Round(ctx, "hs-a", radio.Bluetooth, "hs", one(initiate(net, c, &run, tracker.see)))
+	svc.Stop()
+	tracker.checkReleased(t)
+	run.counters = net.Counters()
+	return run
+}
+
+// TestHandshakeFailuresMatchAcrossEngines runs a handshake that fails
+// at each point it can fail, and one that does not, on both engines:
+// the initiator's steps must see the same replies and errors, with
+// exactly one error per failed handshake, the serving steps the same
+// requests, the transport the same Counters, and every conn pair must
+// end released.
+func TestHandshakeFailuresMatchAcrossEngines(t *testing.T) {
+	cases := []hsCase{
+		{name: "clean", to: "hs-b", replies: []string{"r1", "r2"}, trips: 2},
+		{name: "no-listener", to: "hs-c", trips: 1, errs: 1},
+		{name: "out-of-range", to: "hs-far", trips: 1, errs: 1},
+		{name: "first-rejected", to: "hs-b", replies: []string{""}, trips: 2, errs: 1},
+		{name: "second-rejected", to: "hs-b", replies: []string{"r1", ""}, trips: 2, errs: 1},
+		{name: "partition", to: "hs-b", replies: []string{"r1", "r2"}, trips: 2, partition: true, errs: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			goro := runHandshakeCase(t, false, c)
+			event := runHandshakeCase(t, true, c)
+			for _, run := range []hsRun{goro, event} {
+				if run.errs != c.errs {
+					t.Errorf("%d errors in steps %q, want %d", run.errs, run.steps, c.errs)
+				}
+			}
+			if !reflect.DeepEqual(event.steps, goro.steps) {
+				t.Errorf("initiator steps: event engine %q, goroutine engine %q", event.steps, goro.steps)
+			}
+			if !reflect.DeepEqual(event.requests, goro.requests) {
+				t.Errorf("serving steps: event engine %q, goroutine engine %q", event.requests, goro.requests)
+			}
+			if event.counters != goro.counters {
+				t.Errorf("counters: event engine %+v, goroutine engine %+v", event.counters, goro.counters)
+			}
+		})
+	}
+}
+
+// TestHandshakeEventCostPinned pins what one handshake of k round trips
+// costs on the event engine: the round's seed, the dial completion, a
+// delivery per request and per reply, and the serving end's close
+// callback, which the initiator's close schedules at the same instant —
+// 2k+3 events.
+func TestHandshakeEventCostPinned(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		net, sched := hsWorld(t, true)
+		replies := make([]string, k)
+		for i := range replies {
+			replies[i] = fmt.Sprintf("r%d", i+1)
+		}
+		var run hsRun
+		svc, err := net.Serve("hs-b", "hs", serveScript(replies, &run.requests, func() {}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := sched.EventsExecuted()
+		net.Round(context.Background(), "hs-a", radio.Bluetooth, "hs", one(initiate(net, hsCase{to: "hs-b", trips: k}, &run, func() {})))
+		events := sched.EventsExecuted() - before
+		svc.Stop()
+		if len(run.steps) != k || len(run.requests) != k || run.errs != 0 {
+			t.Fatalf("k=%d: steps %q, requests %q", k, run.steps, run.requests)
+		}
+		if want := uint64(2*k + 3); events != want {
+			t.Errorf("a handshake of %d round trips ran %d scheduler events, want %d", k, events, want)
+		}
+	}
+}
+
+// TestHandshakeEmptyRoundSchedulesNothing: a round whose first draw is
+// empty dials nothing on either engine and, on the event engine,
+// schedules nothing; RoundEvent then continues inside the calling event.
+func TestHandshakeEmptyRoundSchedulesNothing(t *testing.T) {
+	empty := func() (Handshake, bool) { return Handshake{}, false }
+	for _, useDES := range []bool{false, true} {
+		net, sched := hsWorld(t, useDES)
+		net.Round(context.Background(), "hs-a", radio.Bluetooth, "hs", empty)
+		if c := net.Counters(); c.DialsAttempted != 0 {
+			t.Errorf("des=%v: an empty round attempted %d dials", useDES, c.DialsAttempted)
+		}
+		if sched == nil {
+			continue
+		}
+		if n, p := sched.EventsExecuted(), sched.Pending(); n != 0 || p != 0 {
+			t.Errorf("an empty round ran %d events and left %d pending, want none", n, p)
+		}
+		continued := false
+		sched.At(0, DeviceHome("hs-a"), func(ctx *des.Ctx) {
+			net.RoundEvent(ctx, "hs-a", radio.Bluetooth, "hs", empty, func(*des.Ctx) { continued = true })
+			if !continued {
+				t.Error("an empty RoundEvent did not continue inside the calling event")
+			}
+		})
+		sched.Run()
+		if n := sched.EventsExecuted(); n != 1 {
+			t.Errorf("an empty RoundEvent ran %d events besides its caller", n-1)
+		}
+	}
+}
+
+// TestHandshakeConcurrentInitiatorsOneService drives one Service on the
+// goroutine engine from several initiators at once, each running rounds
+// of two-round-trip echo handshakes; every reply must echo its request,
+// and Stop must return with every serving goroutine gone (TestMain's
+// leak checker holds the package to that).
+func TestHandshakeConcurrentInitiatorsOneService(t *testing.T) {
+	env, net := fastWorld(t)
+	addStatic(t, env, "hs-srv", geo.Pt(0, 0), radio.Bluetooth)
+	var served atomic.Int64
+	var echo, last ServeStep
+	echo = func(req []byte) ([]byte, ServeStep) { served.Add(1); return req, last }
+	last = func(req []byte) ([]byte, ServeStep) { served.Add(1); return req, nil }
+	svc, err := net.Serve("hs-srv", "echo", echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const initiators, handshakes = 6, 4
+	devs := make([]ids.DeviceID, initiators)
+	for i := range devs {
+		devs[i] = ids.DeviceIDf("hs-init-%d", i)
+		addStatic(t, env, devs[i], geo.Pt(float64(1+i%3), float64(i/3)), radio.Bluetooth)
+	}
+	var wg sync.WaitGroup
+	for _, dev := range devs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drawn := 0
+			net.Round(context.Background(), dev, radio.Bluetooth, "echo", func() (Handshake, bool) {
+				if drawn == handshakes {
+					return Handshake{}, false
+				}
+				drawn++
+				first := []byte(fmt.Sprintf("%s/%d/a", dev, drawn))
+				second := []byte(fmt.Sprintf("%s/%d/b", dev, drawn))
+				return Handshake{To: "hs-srv", Open: first, Step: func(reply []byte, err error) ([]byte, Step) {
+					if err != nil || string(reply) != string(first) {
+						t.Errorf("%s: first reply %q, err %v", first, reply, err)
+						return nil, nil
+					}
+					return second, func(reply []byte, err error) ([]byte, Step) {
+						if err != nil || string(reply) != string(second) {
+							t.Errorf("%s: second reply %q, err %v", second, reply, err)
+						}
+						return nil, nil
+					}
+				}}, true
+			})
+		}()
+	}
+	wg.Wait()
+	svc.Stop()
+	if got, want := served.Load(), int64(2*initiators*handshakes); got != want {
+		t.Fatalf("service answered %d requests, want %d", got, want)
+	}
+}
