@@ -723,7 +723,7 @@ func BenchmarkDESScaleDiscovery(b *testing.B) {
 			if n >= 50000 && testing.Short() {
 				b.Skip("50k+ sweep skipped under -short")
 			}
-			run(b, n, harness.EngineScaleConfig{Seed: 7, DES: true})
+			run(b, n, harness.EngineScaleConfig{Seed: 7, Engine: harness.Engine{DES: true}})
 		})
 	}
 	// Worker-count legs: same 50k sweep pinned to one executor vs the
@@ -737,7 +737,7 @@ func BenchmarkDESScaleDiscovery(b *testing.B) {
 			if testing.Short() {
 				b.Skip("50k+ sweep skipped under -short")
 			}
-			run(b, 50000, harness.EngineScaleConfig{Seed: 7, DES: true, Workers: leg.workers})
+			run(b, 50000, harness.EngineScaleConfig{Seed: 7, Engine: harness.Engine{DES: true, Workers: leg.workers}})
 		})
 	}
 }
@@ -956,7 +956,7 @@ func BenchmarkGossipConvergence(b *testing.B) {
 	run := func(b *testing.B, n int, mode string, des bool) {
 		var last harness.GossipScalePoint
 		for i := 0; i < b.N; i++ {
-			p, err := harness.RunGossipScaleMode(harness.GossipScaleConfig{Seed: 7, DES: des}, n, mode)
+			p, err := harness.RunGossipScaleMode(harness.GossipScaleConfig{Seed: 7, Engine: harness.Engine{DES: des}}, n, mode)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -999,7 +999,7 @@ func BenchmarkDTNDelivery(b *testing.B) {
 	run := func(b *testing.B, n int, world, strat string, des bool) {
 		var last harness.DTNScalePoint
 		for i := 0; i < b.N; i++ {
-			p, err := harness.RunDTNScaleMode(harness.DTNScaleConfig{Seed: 7, DES: des}, n, world, strat)
+			p, err := harness.RunDTNScaleMode(harness.DTNScaleConfig{Seed: 7, Engine: harness.Engine{DES: des}}, n, world, strat)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -10,11 +10,15 @@
 //
 //	groupscale [-peers 1,2,4,8,16] [-scale FACTOR]
 //	groupscale -substrate [-peers 100,500,1000,2000]
-//	groupscale -overload [-des] [-peers 100,400,1000]
-//	groupscale -delta [-des] [-peers 100,500,1000,2000]
+//	groupscale -overload [-des [-workers N]] [-peers 100,400,1000]
+//	groupscale -delta [-des [-workers N]] [-peers 100,500,1000,2000]
 //	groupscale -des [-peers 1000,10000,50000,100000] [-workers N]
-//	groupscale -gossip [-peers 1000,10000,50000]
-//	groupscale -dtn [-peers 100,200,400]
+//	groupscale -gossip [-peers 1000,10000,50000] [-workers N]
+//	groupscale -dtn [-des [-workers N]] [-peers 100,200,400]
+//
+// -workers sets the event scheduler's executor count wherever a run is
+// on the discrete-event engine: the -des sweep, the -gossip rows past
+// the fan-out cap, and -dtn, -overload and -delta with -des.
 //
 // Every mode accepts -cpuprofile/-memprofile to write pprof profiles
 // of the run, for hunting the next engine bottleneck without ad-hoc
@@ -69,7 +73,7 @@ func main() {
 	desFlag := flag.Bool("des", false, "run the discovery sweep on the discrete-event engine (with goroutine-engine reference rows at small sizes)")
 	gossipFlag := flag.Bool("gossip", false, "compare epidemic dissemination (rumor mongering + anti-entropy) against the fan-out baseline")
 	dtnFlag := flag.Bool("dtn", false, "run the store-carry-forward delivery experiment (epidemic spray vs social relay) over sparse mobility worlds")
-	workers := flag.Int("workers", 0, "event-scheduler executor count for -des modes (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "event-scheduler executor count for discrete-event runs: -des, -gossip rows past 2000 devices, and -dtn/-overload/-delta with -des (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
@@ -158,7 +162,7 @@ func main() {
 			}
 			points = append(points, ps...)
 		}
-		ps, err := harness.RunEngineScale(harness.EngineScaleConfig{Seed: 7, DES: true, Workers: *workers}, counts)
+		ps, err := harness.RunEngineScale(harness.EngineScaleConfig{Seed: 7, Engine: harness.Engine{DES: true, Workers: *workers}}, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)
 			os.Exit(1)
@@ -197,7 +201,7 @@ func main() {
 				points = append(points, p)
 				continue
 			}
-			p, err := harness.RunGossipScaleMode(harness.GossipScaleConfig{Seed: 7, DES: true, Workers: *workers}, n, "gossip")
+			p, err := harness.RunGossipScaleMode(harness.GossipScaleConfig{Seed: 7, Engine: harness.Engine{DES: true, Workers: *workers}}, n, "gossip")
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "groupscale:", err)
 				os.Exit(1)
@@ -217,7 +221,7 @@ func main() {
 		fmt.Println("have shared a group with the destination — fewer copies for the")
 		fmt.Println("same deliveries.")
 		fmt.Println()
-		points, err := harness.RunDTNScale(harness.DTNScaleConfig{Seed: 7, DES: *desFlag, Workers: *workers}, counts)
+		points, err := harness.RunDTNScale(harness.DTNScaleConfig{Seed: 7, Engine: harness.Engine{DES: *desFlag, Workers: *workers}}, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)
 			os.Exit(1)
@@ -240,7 +244,7 @@ func main() {
 			fmt.Println("discrete-event engine; the observer stays the blocking client.)")
 			fmt.Println()
 		}
-		points, err := harness.RunOverload(harness.OverloadConfig{Devices: counts, DES: *desFlag, Workers: *workers})
+		points, err := harness.RunOverload(harness.OverloadConfig{Devices: counts, Engine: harness.Engine{DES: *desFlag, Workers: *workers}})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)
 			os.Exit(1)
@@ -261,7 +265,7 @@ func main() {
 			fmt.Println()
 		}
 		points, err := harness.RunDeltaScaleConfig(harness.DeltaScaleConfig{
-			Scale: vtime.NewScale(1e-4), DES: *desFlag, Workers: *workers,
+			Scale: vtime.NewScale(1e-4), Engine: harness.Engine{DES: *desFlag, Workers: *workers},
 		}, counts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "groupscale:", err)

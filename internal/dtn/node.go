@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/frame"
 	"repro/internal/ids"
 	"repro/internal/netsim"
@@ -187,8 +188,8 @@ type Params struct {
 }
 
 // Node is one device's store-carry-forward engine. It is driven
-// externally: Round(ctx) executes one contact round; Start serves the
-// passive side of contacts.
+// externally: Round(ctx), or RoundEvent from inside an event, executes
+// one contact round; Start serves the passive side of contacts.
 type Node struct {
 	dev       ids.DeviceID
 	neighbors func() []ids.DeviceID
@@ -483,14 +484,28 @@ func (n *Node) SendTTL(dst ids.DeviceID, payload []byte, ttl int) (string, error
 // bounded by ctx on the goroutine engine, an awaited event cascade on
 // a discrete-event network).
 func (n *Node) Round(ctx context.Context) {
+	n.net.Round(ctx, n.dev, n.tech, Port, n.planRound())
+}
+
+// RoundEvent is Round for a caller that is an event on the network's
+// scheduler: the same plan runs as an event cascade, the Groups and
+// Neighbors callbacks inside the event, and then is called inside the
+// event that ends the round.
+func (n *Node) RoundEvent(ctx *des.Ctx, then func(*des.Ctx)) {
+	n.net.RoundEvent(ctx, n.dev, n.tech, Port, n.planRound(), then)
+}
+
+// planRound runs the round prologue and returns the round's contact
+// source for netsim's sequencer.
+func (n *Node) planRound() func() (netsim.Handshake, bool) {
 	p := n.beginRound()
-	n.net.Round(ctx, n.dev, n.tech, Port, func() (netsim.Handshake, bool) {
+	return func() (netsim.Handshake, bool) {
 		c, ok := n.nextContact(p)
 		if !ok {
 			return netsim.Handshake{}, false
 		}
 		return n.handshake(c), true
-	})
+	}
 }
 
 // contactPlan is one round's contact schedule: the targets chosen in

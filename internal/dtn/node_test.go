@@ -20,11 +20,12 @@ import (
 // (meters; Bluetooth range is 10) on either transport engine and
 // returns the started nodes in device order.
 type testWorld struct {
-	env   *radio.Environment
-	sched *des.Scheduler // nil on the goroutine engine
-	net   *netsim.Network
-	nodes []*Node
-	devs  []ids.DeviceID
+	env    *radio.Environment
+	sched  *des.Scheduler // nil on the goroutine engine
+	net    *netsim.Network
+	nodes  []*Node
+	devs   []ids.DeviceID
+	events bool
 	// goroutines is the goroutine count once the transport (and, when
 	// started, the scheduler's runner and pool) is up, before any node.
 	goroutines int
@@ -37,6 +38,9 @@ type worldOpts struct {
 	// noRunner leaves the DES scheduler's background runner off: each
 	// Round's own Await is then the only thing that moves virtual time.
 	noRunner bool
+	// events runs each round as a RoundEvent seeded with At and drained
+	// by Run, as a sweep kernel drives it (needs useDES and noRunner).
+	events bool
 	// groups supplies per-node group views (may be nil).
 	groups func(i int, devs []ids.DeviceID) func() []core.Group
 }
@@ -53,7 +57,7 @@ func newTestWorld(t *testing.T, pos [][2]float64, o worldOpts) *testWorld {
 		envOpts = append(envOpts, radio.WithClock(sched.Clock()))
 	}
 	env := radio.NewEnvironment(envOpts...)
-	w := &testWorld{env: env}
+	w := &testWorld{env: env, events: o.events}
 	for i := range pos {
 		dev := ids.DeviceIDf("dev-%03d", i)
 		w.devs = append(w.devs, dev)
@@ -105,8 +109,13 @@ func newTestWorld(t *testing.T, pos [][2]float64, o worldOpts) *testWorld {
 
 // sweep drives one sequential round on every node.
 func (w *testWorld) sweep(ctx context.Context) {
-	for _, n := range w.nodes {
-		n.Round(ctx)
+	for i, n := range w.nodes {
+		if !w.events {
+			n.Round(ctx)
+			continue
+		}
+		w.sched.At(0, netsim.DeviceHome(w.devs[i]), func(ctx *des.Ctx) { n.RoundEvent(ctx, func(*des.Ctx) {}) })
+		w.sched.Run()
 	}
 }
 

@@ -13,24 +13,27 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/radio"
+	"repro/internal/testutil"
 	"repro/internal/vtime"
 )
 
 // engineMode selects how a world's transport runs: the goroutine
 // engine (blocking handshakes, the oracle), the discrete-event engine
-// with its background runner started, or the discrete-event engine with
+// with its background runner started, the discrete-event engine with
 // no runner at all, where Round's own Await is the only thing that
-// moves virtual time.
+// moves virtual time, or no runner and each round a RoundEvent seeded
+// with At and drained by Run, as a sweep kernel drives it.
 type engineMode int
 
 const (
 	engineGoroutine engineMode = iota
 	engineDESStarted
 	engineDESAwait
+	engineDESEvent
 )
 
 func (m engineMode) String() string {
-	return [...]string{"goroutine", "des-started", "des-await"}[m]
+	return [...]string{"goroutine", "des-started", "des-await", "des-event"}[m]
 }
 
 // engineWorld is a static world of gossip nodes on one engine.
@@ -39,6 +42,7 @@ func (m engineMode) String() string {
 type engineWorld struct {
 	sched      *des.Scheduler
 	net        *netsim.Network
+	devs       []ids.DeviceID
 	nodes      []*Node
 	goroutines int
 }
@@ -55,10 +59,10 @@ func newEngineWorld(t *testing.T, mode engineMode, pos []geo.Point, cfg Config, 
 		opts = append(opts, radio.WithClock(w.sched.Clock()))
 	}
 	env := radio.NewEnvironment(opts...)
-	devs := make([]ids.DeviceID, len(pos))
+	w.devs = make([]ids.DeviceID, len(pos))
 	for i, at := range pos {
-		devs[i] = ids.DeviceIDf("eng-%03d", i)
-		if err := env.Add(devs[i], mobility.Static{At: at}, radio.Bluetooth); err != nil {
+		w.devs[i] = ids.DeviceIDf("eng-%03d", i)
+		if err := env.Add(w.devs[i], mobility.Static{At: at}, radio.Bluetooth); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +81,7 @@ func newEngineWorld(t *testing.T, mode engineMode, pos []geo.Point, cfg Config, 
 	}
 	t.Cleanup(w.net.Close)
 	w.goroutines = runtime.NumGoroutine()
-	for i, dev := range devs {
+	for i, dev := range w.devs {
 		i, dev := i, dev
 		node, err := NewNode(Params{
 			Device:    dev,
@@ -122,7 +126,9 @@ func driveEngineWorld(t *testing.T, mode engineMode) (engineSnapshot, int) {
 		interests[i] = []string{pool[i%len(pool)], pool[(i/3)%len(pool)]}
 	}
 	// Unsynchronized on purpose: Round and Refresh call Self on the
-	// driving goroutine on every engine, and -race holds them to it.
+	// driving goroutine on every engine, RoundEvent inside an event that
+	// Run orders after the driving goroutine's edits, and -race holds
+	// them to it.
 	record := func(i int) Record {
 		return Record{Epoch: epochs[i], Interests: append([]string(nil), interests[i]...)}
 	}
@@ -139,11 +145,21 @@ func driveEngineWorld(t *testing.T, mode engineMode) (engineSnapshot, int) {
 				interests[i] = append(interests[i], fmt.Sprintf("edit-%d", i))
 			}
 		}
-		for _, node := range w.nodes {
-			node.Round(ctx)
+		for i, node := range w.nodes {
+			if mode != engineDESEvent {
+				node.Round(ctx)
+				continue
+			}
+			w.sched.At(0, netsim.DeviceHome(w.devs[i]), func(ctx *des.Ctx) { node.RoundEvent(ctx, func(*des.Ctx) {}) })
+			w.sched.Run()
 		}
 	}
 	added := runtime.NumGoroutine() - w.goroutines
+	if mode == engineDESEvent {
+		// Run's own pool workers signal their WaitGroup just before
+		// they return, so give them the leak checker's settle window.
+		added = testutil.GoroutinesAbove(w.goroutines)
+	}
 	var snap engineSnapshot
 	for _, node := range w.nodes {
 		node.Refresh()
@@ -159,12 +175,13 @@ func driveEngineWorld(t *testing.T, mode engineMode) (engineSnapshot, int) {
 }
 
 // TestEngineParity runs one seeded world on the goroutine engine, on
-// the discrete-event engine with its runner started, and on the
-// discrete-event engine with Round's Await alone. The blocking
-// handshakes and the event cascades walk the same plan and build the
-// same frames, so all three must agree on every counter, record and
-// group view. On the event engine the nodes serve through AcceptEvent
-// and rounds await their cascades, so no goroutine is added.
+// the discrete-event engine with its runner started, on the
+// discrete-event engine with Round's Await alone, and with RoundEvent
+// rounds drained by Run. The blocking handshakes and the event
+// cascades walk the same plan and build the same frames, so all four
+// must agree on every counter, record and group view. On the event
+// engine the nodes serve through AcceptEvent and rounds are cascades,
+// so no goroutine is added.
 func TestEngineParity(t *testing.T) {
 	oracle, _ := driveEngineWorld(t, engineGoroutine)
 	var total Stats
@@ -174,7 +191,7 @@ func TestEngineParity(t *testing.T) {
 	if total.PushesSent == 0 || total.AERuns == 0 || total.RecordsLearned == 0 {
 		t.Fatalf("parity workload exercised too little: %+v", total)
 	}
-	for _, mode := range []engineMode{engineDESStarted, engineDESAwait} {
+	for _, mode := range []engineMode{engineDESStarted, engineDESAwait, engineDESEvent} {
 		got, added := driveEngineWorld(t, mode)
 		for i := range oracle.Stats {
 			if got.Stats[i] != oracle.Stats[i] {
@@ -187,7 +204,7 @@ func TestEngineParity(t *testing.T) {
 		if !reflect.DeepEqual(got.Views, oracle.Views) {
 			t.Errorf("%v: group views %v, goroutine engine %v", mode, got.Views, oracle.Views)
 		}
-		if mode == engineDESStarted && added > 0 {
+		if mode != engineDESAwait && added > 0 {
 			t.Errorf("%v: nodes and rounds added %d goroutines, want none", mode, added)
 		}
 	}

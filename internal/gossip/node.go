@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/des"
 	"repro/internal/frame"
 	"repro/internal/ids"
 	"repro/internal/interest"
@@ -129,11 +130,12 @@ type Params struct {
 }
 
 // Node is one device's gossip engine. It is driven externally:
-// Round(ctx) executes one gossip round (rumor pushes, then possibly an
-// anti-entropy exchange); nothing runs on a timer, which keeps the
-// schedule deterministic under the sequential chaos driver and makes
-// the node engine-agnostic (netsim sequences its handshakes on either
-// transport engine). Start serves the passive side.
+// Round(ctx), or RoundEvent from inside an event, executes one gossip
+// round (rumor pushes, then possibly an anti-entropy exchange); nothing
+// runs on a timer, which keeps the schedule deterministic under the
+// sequential chaos driver and makes the node engine-agnostic (netsim
+// sequences its handshakes on either transport engine). Start serves
+// the passive side.
 type Node struct {
 	dev       ids.DeviceID
 	member    ids.MemberID
@@ -331,17 +333,32 @@ func maskBit(mask []byte, i int) bool {
 // goroutine engine, an awaited event cascade on a discrete-event
 // network).
 func (n *Node) Round(ctx context.Context) {
+	n.net.Round(ctx, n.dev, n.tech, Port, n.planRound())
+	n.ageView()
+}
+
+// RoundEvent is Round for a caller that is an event on the network's
+// scheduler: the same plan runs as an event cascade, the Self and
+// Neighbors callbacks inside the event, and then is called inside the
+// event that ends the round.
+func (n *Node) RoundEvent(ctx *des.Ctx, then func(*des.Ctx)) {
+	n.net.RoundEvent(ctx, n.dev, n.tech, Port, n.planRound(), func(ctx *des.Ctx) {
+		n.ageView()
+		then(ctx)
+	})
+}
+
+// planRound runs the round prologue and returns the round's handshake
+// source for netsim's sequencer.
+func (n *Node) planRound() func() (netsim.Handshake, bool) {
 	p := n.beginRound()
-	n.net.Round(ctx, n.dev, n.tech, Port, func() (netsim.Handshake, bool) {
+	return func() (netsim.Handshake, bool) {
 		x, ok := n.nextExchange(p)
 		if !ok {
 			return netsim.Handshake{}, false
 		}
 		return n.handshake(x), true
-	})
-	n.mu.Lock()
-	n.ageView()
-	n.mu.Unlock()
+	}
 }
 
 // roundPlan is one round's exchange schedule: the sorted neighborhood

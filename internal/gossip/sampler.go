@@ -183,8 +183,10 @@ func (n *Node) mergeView(sample []ViewEntry, from ids.DeviceID, fromMember ids.M
 	n.view = merged
 }
 
-// ageView ages every entry one shuffle round. Callers hold n.mu.
+// ageView ages every entry one shuffle round.
 func (n *Node) ageView() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for i := range n.view {
 		if n.view[i].Age < 1<<20 {
 			n.view[i].Age++

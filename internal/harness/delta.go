@@ -91,23 +91,16 @@ func dedupTerms(terms []string) []string {
 type DeltaScaleConfig struct {
 	// Scale is the latency scale (default 1e-4).
 	Scale vtime.Scale
-	// DES runs the point on the discrete-event engine in integrated
-	// mode — the measured client stays the blocking differential
-	// oracle while the transport underneath it rides the scheduler —
-	// the same engine flag the DTN, gossip and overload sweeps take.
-	// Shards overrides the scheduler's shard count (default 8) and
-	// Workers its executor count.
-	DES     bool
-	Shards  int
-	Workers int
+	// Engine selects the transport. On the discrete-event engine the
+	// point runs in integrated mode: the measured client stays the
+	// blocking differential oracle while the transport underneath it
+	// rides the scheduler, as in the overload sweep.
+	Engine
 }
 
 func (c DeltaScaleConfig) withDefaults() DeltaScaleConfig {
 	if c.Scale.Factor() == 1 || c.Scale.Factor() == 0 {
 		c.Scale = vtime.NewScale(1e-4)
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	return c
 }
@@ -141,12 +134,7 @@ func runDeltaPoint(cfg DeltaScaleConfig, peers int) (DeltaScalePoint, error) {
 		return DeltaScalePoint{}, fmt.Errorf("need at least one peer")
 	}
 	builder := scenario.NewBuilder().WithScale(cfg.Scale).WithSeed(int64(peers))
-	if cfg.DES {
-		builder.WithDES(cfg.Shards)
-		if cfg.Workers > 0 {
-			builder.WithDESWorkers(cfg.Workers)
-		}
-	}
+	cfg.build(builder)
 	side := 1 + peers/4
 	for i := 0; i < peers; i++ {
 		builder.AddPeer(scenario.PeerSpec{
@@ -174,10 +162,7 @@ func runDeltaPoint(cfg DeltaScaleConfig, peers int) (DeltaScalePoint, error) {
 		return DeltaScalePoint{}, err
 	}
 
-	point := DeltaScalePoint{Devices: peers, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := DeltaScalePoint{Devices: peers, Engine: cfg.name()}
 	round := func(wall *time.Duration, bytes *uint64) error {
 		before := d.Net.Counters().BytesDelivered
 		sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())

@@ -9,13 +9,13 @@ import (
 // TestDeltaScaleBothEngines runs one small delta point per engine and
 // checks the protocol contract holds identically: the steady round
 // answers NOT_MODIFIED per neighbor out of the cache and moves fewer
-// bytes than the cold round. The DES row is the integrated mode the
-// other sweeps use — the blocking client measured over the
+// bytes than the cold round. The DES row runs in integrated mode, as
+// the overload sweep does — the blocking client measured over the
 // event-engine transport.
 func TestDeltaScaleBothEngines(t *testing.T) {
 	const peers = 12
 	for _, useDES := range []bool{false, true} {
-		cfg := DeltaScaleConfig{Scale: vtime.NewScale(1e-4), DES: useDES}
+		cfg := DeltaScaleConfig{Scale: vtime.NewScale(1e-4), Engine: Engine{DES: useDES}}
 		points, err := RunDeltaScaleConfig(cfg, []int{peers})
 		if err != nil {
 			t.Fatalf("DES=%v: %v", useDES, err)

@@ -1,21 +1,17 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/dtn"
 	"repro/internal/geo"
 	"repro/internal/ids"
 	"repro/internal/mobility"
-	"repro/internal/netsim"
 	"repro/internal/radio"
 	"repro/internal/vtime"
 )
@@ -31,9 +27,10 @@ import (
 //     between them — denser courier traffic, shorter gaps.
 //
 // Couriers move on a deterministic round-driven schedule (the harness
-// teleports them between dwell points between contact rounds), so both
-// transport engines see the identical contact sequence and runs replay
-// from their seed. Each run measures the delivery ratio, the mean
+// teleports them between dwell points between the sweep kernel's
+// contact rounds), so both transport engines see the identical contact
+// sequence, and on the discrete-event engine a run replays from its
+// seed. Each run measures the delivery ratio, the mean
 // delivery latency in contact rounds, and the copies-per-delivered
 // ratio — the committed BENCH_dtn.json claim is that the social
 // (group-encounter) strategy delivers at a fraction of epidemic
@@ -81,13 +78,8 @@ type DTNScaleConfig struct {
 	Warmup int
 	// Messages is the originated message count (default max(8, n/8)).
 	Messages int
-	// Wave bounds concurrently driven devices per sweep (default 1024).
-	Wave int
-	// DES selects the discrete-event engine; Shards overrides its
-	// shard count (default 8) and Workers its executor count.
-	DES     bool
-	Shards  int
-	Workers int
+	// Engine selects the transport.
+	Engine
 	// DTN overrides the engine knobs; Strategy is set per mode.
 	DTN dtn.Config
 }
@@ -95,12 +87,6 @@ type DTNScaleConfig struct {
 func (c DTNScaleConfig) withDefaults() DTNScaleConfig {
 	if c.Rounds <= 0 {
 		c.Rounds = 48
-	}
-	if c.Wave <= 0 {
-		c.Wave = 1024
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	return c
 }
@@ -140,8 +126,7 @@ func RunDTNScaleMode(cfg DTNScaleConfig, n int, world, strategy string) (DTNScal
 // dtnScaleWorld is one sparse mobility world: static residents grouped
 // into communities at dwell points, couriers on a deterministic tour.
 type dtnScaleWorld struct {
-	env  *radio.Environment
-	net  *netsim.Network
+	*sweep
 	devs []ids.DeviceID
 	// community[i] is device i's home dwell point (-1 for couriers).
 	community []int
@@ -153,8 +138,9 @@ type dtnScaleWorld struct {
 	phase    []int
 	step     []int
 	// dwell is rounds spent per stop before the next teleport.
-	dwell int
-	nodes []*dtn.Node
+	dwell   int
+	nodes   []*dtn.Node
+	drivers []driver
 }
 
 // dtnScaleGeometry lays out the world. Bus worlds put ~12 residents
@@ -171,21 +157,11 @@ func dtnScaleGeometry(n int, world string, seed int64) (residentsPerStop, courie
 	}
 }
 
-func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string) (*dtnScaleWorld, *des.Scheduler, error) {
+func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string) (*dtnScaleWorld, error) {
 	seed := cfg.Seed + int64(n)
 	residents, courierEvery := dtnScaleGeometry(n, world, seed)
-	opts := []radio.Option{radio.WithScale(vtime.NewScale(1e-6))}
-	var sched *des.Scheduler
-	if cfg.DES {
-		sched = des.NewScheduler(seed, cfg.Shards)
-		if cfg.Workers > 0 {
-			sched.SetWorkers(cfg.Workers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
-
-	w := &dtnScaleWorld{env: env, dwell: 2}
+	w := &dtnScaleWorld{sweep: newSweep(cfg.Engine, seed, vtime.NewScale(1e-6)), dwell: 2}
+	env := w.env
 	// Partition n into stops of `residents` plus one courier per
 	// `courierEvery` stops.
 	perBlock := residents*courierEvery + 1
@@ -209,7 +185,7 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 			dev := ids.DeviceIDf("dev-%05d", placed)
 			at := geo.Pt(w.stops[s].X+rng.Float64()*4, w.stops[s].Y+rng.Float64()*4)
 			if err := env.Add(dev, mobility.Static{At: at}, radio.Bluetooth); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			w.devs = append(w.devs, dev)
 			w.community = append(w.community, s)
@@ -218,7 +194,7 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		if (s+1)%courierEvery == 0 && placed < n {
 			dev := ids.DeviceIDf("dev-%05d", placed)
 			if err := env.Add(dev, mobility.Static{At: w.stops[s]}, radio.Bluetooth); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			w.devs = append(w.devs, dev)
 			w.community = append(w.community, -1)
@@ -231,14 +207,7 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		}
 	}
 	if len(w.couriers) == 0 {
-		return nil, nil, fmt.Errorf("world of %d devices produced no couriers", n)
-	}
-
-	if cfg.DES {
-		w.net = netsim.NewDES(env, seed, sched)
-		sched.Start()
-	} else {
-		w.net = netsim.New(env, seed)
+		return nil, fmt.Errorf("world of %d devices produced no couriers", n)
 	}
 
 	strat := dtn.Epidemic
@@ -259,7 +228,6 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 		byDevice[dev] = i
 	}
 	for i, dev := range w.devs {
-		i, dev := i, dev
 		node, err := dtn.NewNode(dtn.Params{
 			Device:    dev,
 			Neighbors: func() []ids.DeviceID { return env.Neighbors(dev, radio.Bluetooth) },
@@ -268,15 +236,17 @@ func buildDTNScaleWorld(cfg DTNScaleConfig, n int, world string, strategy string
 			Seed:      seed,
 			Config:    nodeCfg,
 		})
-		if err != nil {
-			return nil, nil, err
+		if err == nil {
+			err = node.Start()
 		}
-		if err := node.Start(); err != nil {
-			return nil, nil, err
+		if err != nil {
+			w.close()
+			return nil, err
 		}
 		w.nodes = append(w.nodes, node)
+		w.drivers = append(w.drivers, node)
 	}
-	return w, sched, nil
+	return w, nil
 }
 
 // groupsOf computes device i's current group view: its radio neighbors
@@ -333,32 +303,6 @@ func (w *dtnScaleWorld) tourCouriers(round int) error {
 	return nil
 }
 
-// sweep drives one contact round on every node, at most cfg.Wave
-// concurrently.
-func (w *dtnScaleWorld) sweep(cfg DTNScaleConfig) {
-	ctx := context.Background()
-	workers := cfg.Wave
-	if workers > len(w.nodes) {
-		workers = len(w.nodes)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				w.nodes[i].Round(ctx)
-			}
-		}()
-	}
-	for i := range w.nodes {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 func (w *dtnScaleWorld) close() {
 	for _, n := range w.nodes {
 		n.Stop()
@@ -367,21 +311,13 @@ func (w *dtnScaleWorld) close() {
 }
 
 func runDTNScalePoint(cfg DTNScaleConfig, n int, world, strategy string) (DTNScalePoint, error) {
-	w, sched, err := buildDTNScaleWorld(cfg, n, world, strategy)
+	w, err := buildDTNScaleWorld(cfg, n, world, strategy)
 	if err != nil {
 		return DTNScalePoint{}, err
 	}
-	defer func() {
-		w.close()
-		if sched != nil {
-			sched.Stop()
-		}
-	}()
+	defer w.close()
 
-	point := DTNScalePoint{Devices: n, World: world, Strategy: strategy, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := DTNScalePoint{Devices: n, World: world, Strategy: strategy, Engine: cfg.name()}
 	sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())
 
 	warmup := cfg.Warmup
@@ -395,7 +331,7 @@ func runDTNScalePoint(cfg DTNScaleConfig, n int, world, strategy string) (DTNSca
 		if err := w.tourCouriers(round); err != nil {
 			return DTNScalePoint{}, err
 		}
-		w.sweep(cfg)
+		w.round(w.devs, w.drivers, 0)
 	}
 
 	// Traffic: cross-community messages between residents. Same seed →
@@ -444,7 +380,7 @@ func runDTNScalePoint(cfg DTNScaleConfig, n int, world, strategy string) (DTNSca
 		if err := w.tourCouriers(round); err != nil {
 			return DTNScalePoint{}, err
 		}
-		w.sweep(cfg)
+		w.round(w.devs, w.drivers, 0)
 		round++
 		remain := pending[:0]
 		for _, s := range pending {

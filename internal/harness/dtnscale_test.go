@@ -15,7 +15,7 @@ func TestDTNScaleStrategies(t *testing.T) {
 		for _, world := range []string{"bus", "campus"} {
 			var epidemic, social DTNScalePoint
 			for _, strat := range []string{"epidemic", "social"} {
-				p, err := RunDTNScaleMode(DTNScaleConfig{Seed: 7, DES: des}, 80, world, strat)
+				p, err := RunDTNScaleMode(DTNScaleConfig{Seed: 7, Engine: Engine{DES: des}}, 80, world, strat)
 				if err != nil {
 					t.Fatalf("des=%v %s/%s: %v", des, world, strat, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,17 +19,17 @@ import (
 // — every device runs an inquiry window, queries its neighborhood, and
 // exchanges interest advertisements with a capped fan-out, then forms
 // its groups — on the goroutine transport engine and on the
-// discrete-event engine. On the goroutine engine every modeled duration
-// is a (scaled) real timer wait, so wall-clock grows with device count
-// times timer granularity, and a Wave pool of goroutines drives the
-// devices through blocking netsim.Network.Round calls. On the event
-// engine the drivers ARE events (esDriver.startRound): each device's
-// round is a self-rescheduling RoundEvent cascade, so the sweep spawns
-// O(shards) goroutines instead of O(devices), shared deadlines collapse
-// into windows, and the scheduler's worker pool executes the per-window
-// shard batches on every core — which is what pushes the sweep from the
-// goroutine engine's ~2k ceiling to 100k devices. Both engines walk the
-// same round plan (esDriver) through netsim's one handshake sequencer.
+// discrete-event engine, both through the one sweep kernel (sweep.go).
+// On the goroutine engine every modeled duration is a (scaled) real
+// timer wait, so wall-clock grows with device count times timer
+// granularity. On the event engine each device's round is a driver
+// event whose handshakes are a RoundEvent cascade, so the sweep spawns
+// O(workers) goroutines instead of O(devices), shared deadlines
+// collapse into windows, and the scheduler's worker pool executes the
+// per-window shard batches on every core — which is what pushes the
+// sweep from the goroutine engine's ~2k ceiling to 100k devices. Both
+// engines walk the same round plan (esDriver) through netsim's one
+// handshake sequencer.
 
 // EngineScalePoint is one measured sweep at one world size.
 type EngineScalePoint struct {
@@ -75,17 +74,9 @@ type EngineScaleConfig struct {
 	// Fanout caps how many neighbors each device exchanges interests
 	// with per round (default 3).
 	Fanout int
-	// Wave bounds concurrent device drivers on the goroutine engine,
-	// where a sweep must not need 50k simultaneous goroutines (default
-	// 2048). The DES path schedules drivers as events and never reads
-	// it.
-	Wave int
-	// DES selects the discrete-event engine with event-native workload
-	// drivers; Shards overrides its shard count (default 8) and Workers
-	// its executor count (default GOMAXPROCS).
-	DES     bool
-	Shards  int
-	Workers int
+	// Engine selects the transport; on the discrete-event engine the
+	// drivers are events.
+	Engine
 }
 
 func (c EngineScaleConfig) withDefaults() EngineScaleConfig {
@@ -97,12 +88,6 @@ func (c EngineScaleConfig) withDefaults() EngineScaleConfig {
 	}
 	if c.Fanout <= 0 {
 		c.Fanout = 3
-	}
-	if c.Wave <= 0 {
-		c.Wave = 2048
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	return c
 }
@@ -150,112 +135,62 @@ func RunEngineScale(cfg EngineScaleConfig, deviceCounts []int) ([]EngineScalePoi
 
 func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error) {
 	seed := cfg.Seed + int64(n)
-	opts := []radio.Option{radio.WithScale(cfg.Scale)}
-	var sched *des.Scheduler
-	if cfg.DES {
-		sched = des.NewScheduler(seed, cfg.Shards)
-		if cfg.Workers > 0 {
-			sched.SetWorkers(cfg.Workers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
-	devs, err := placeUniform(env, n, seed)
+	s := newSweep(cfg.Engine, seed, cfg.Scale)
+	defer s.net.Close()
+	devs, err := placeUniform(s.env, n, seed)
 	if err != nil {
 		return EngineScalePoint{}, err
 	}
-	var net *netsim.Network
-	if cfg.DES {
-		net = netsim.NewDES(env, seed, sched)
-	} else {
-		net = netsim.New(env, seed)
-	}
-	defer net.Close()
 
-	clock := env.Clock()
-	inquiry := env.Scale().ToReal(env.PHY(radio.Bluetooth).InquiryDuration)
 	var groupsTotal atomic.Int64
 	// Every device serves its interest advertisement on port "esd",
 	// answering each ad it receives with its own.
-	drivers := make([]*esDriver, n)
+	drivers := make([]driver, n)
 	services := make([]*netsim.Service, 0, n)
 	defer func() {
-		for _, s := range services {
-			s.Stop()
+		for _, svc := range services {
+			svc.Stop()
 		}
 	}()
 	for i, dev := range devs {
 		d := &esDriver{
-			cfg: cfg, env: env, net: net,
-			dev: dev, home: netsim.DeviceHome(dev),
-			inquiry: inquiry, groupsTotal: &groupsTotal,
+			cfg: cfg, env: s.env, net: s.net, dev: dev, groupsTotal: &groupsTotal,
 			self: core.Member{Device: dev, ID: ids.MemberID(dev), Interests: engineScaleInterests(i)},
 		}
 		d.ad = engineScaleAd(dev, d.self.Interests)
 		var serveAd netsim.ServeStep
 		serveAd = func([]byte) ([]byte, netsim.ServeStep) { return d.ad, serveAd }
-		s, err := net.Serve(dev, "esd", serveAd)
+		svc, err := s.net.Serve(dev, "esd", serveAd)
 		if err != nil {
 			return EngineScalePoint{}, err
 		}
-		services = append(services, s)
+		services = append(services, svc)
 		drivers[i] = d
 	}
 
+	clock := s.env.Clock()
+	inquiry := s.env.Scale().ToReal(s.env.PHY(radio.Bluetooth).InquiryDuration)
 	virtStart := clock.Now()
 	sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())
-	if cfg.DES {
-		// Drivers as events: seed every device's first round (device
-		// order, so the pre-run sequence draws replay), then drain the
-		// cascade on the calling goroutine — the worker pool inside Run
-		// is the only concurrency.
-		for _, d := range drivers {
-			sched.At(inquiry, d.home, d.startRound)
-		}
-		sched.Run()
-	} else {
-		ctx := context.Background()
-		for round := 0; round < cfg.Rounds; round++ {
-			idx := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < min(cfg.Wave, n); w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range idx {
-						d := drivers[i]
-						clock.Sleep(inquiry)
-						d.begin()
-						net.Round(ctx, d.dev, radio.Bluetooth, "esd", d.next)
-						d.finish()
-					}
-				}()
-			}
-			for i := range devs {
-				idx <- i
-			}
-			close(idx)
-			wg.Wait()
-		}
+	for round := 0; round < cfg.Rounds; round++ {
+		s.round(devs, drivers, inquiry)
 	}
-
 	wall := sw.Elapsed()
 	point := EngineScalePoint{
 		Devices:          n,
-		Engine:           "goroutine",
+		Engine:           cfg.name(),
 		Wall:             wall,
 		Virtual:          clock.Now().Sub(virtStart),
 		NsPerDeviceRound: float64(wall.Nanoseconds()) / float64(n*cfg.Rounds),
 		Groups:           int(groupsTotal.Load()),
-		Delivered:        net.Counters().MessagesDelivered,
+		Delivered:        s.net.Counters().MessagesDelivered,
 	}
-	if cfg.DES {
-		point.Engine = "des"
-		point.Workers = sched.Workers()
-		point.Events = sched.EventsExecuted()
-		point.TraceHash = sched.TraceHash()
-		if s := wall.Seconds(); s > 0 {
-			point.EventsPerSec = float64(point.Events) / s
+	if s.sched != nil {
+		point.Workers = s.sched.Workers()
+		point.Events = s.sched.EventsExecuted()
+		point.TraceHash = s.sched.TraceHash()
+		if sec := wall.Seconds(); sec > 0 {
+			point.EventsPerSec = float64(point.Events) / sec
 		}
 	}
 	return point, nil
@@ -273,16 +208,29 @@ type esDriver struct {
 	env         *radio.Environment
 	net         *netsim.Network
 	dev         ids.DeviceID
-	home        uint64
-	inquiry     time.Duration
 	groupsTotal *atomic.Int64
 	self        core.Member
 	ad          []byte
 
-	rounds int
 	neigh  []ids.DeviceID
 	j      int
 	nearby []core.Member
+}
+
+// Round runs one discovery round with blocking calls.
+func (d *esDriver) Round(ctx context.Context) {
+	d.begin()
+	d.net.Round(ctx, d.dev, radio.Bluetooth, "esd", d.next)
+	d.finish()
+}
+
+// RoundEvent runs one discovery round as an event cascade.
+func (d *esDriver) RoundEvent(ctx *des.Ctx, then func(*des.Ctx)) {
+	d.begin()
+	d.net.RoundEvent(ctx, d.dev, radio.Bluetooth, "esd", d.next, func(ctx *des.Ctx) {
+		d.finish()
+		then(ctx)
+	})
 }
 
 // begin starts a round with the neighborhood query. It is pinned to an
@@ -320,23 +268,6 @@ func (d *esDriver) next() (netsim.Handshake, bool) {
 // finish forms the round's groups.
 func (d *esDriver) finish() {
 	d.groupsTotal.Add(int64(len(core.DiscoverGroups(d.self, d.nearby, nil))))
-}
-
-// startRound is a round on the event engine; it fires after the
-// device's inquiry window.
-func (d *esDriver) startRound(ctx *des.Ctx) {
-	d.begin()
-	d.net.RoundEvent(ctx, d.dev, radio.Bluetooth, "esd", d.next, d.endRound)
-}
-
-// endRound forms the round's groups and schedules the next round's
-// inquiry window, retiring the cascade after the last round.
-func (d *esDriver) endRound(ctx *des.Ctx) {
-	d.finish()
-	d.rounds++
-	if d.rounds < d.cfg.Rounds {
-		ctx.At(d.inquiry, d.home, d.startRound)
-	}
 }
 
 // FormatEngineScale renders the series as a table.

@@ -15,7 +15,7 @@ func TestEngineScaleBothEngines(t *testing.T) {
 			name = "des"
 		}
 		t.Run(name, func(t *testing.T) {
-			points, err := RunEngineScale(EngineScaleConfig{Seed: 7, DES: des, Rounds: 2}, []int{40})
+			points, err := RunEngineScale(EngineScaleConfig{Seed: 7, Engine: Engine{DES: des}, Rounds: 2}, []int{40})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestEngineScaleDESPushesPastGoroutineSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaled sweep skipped in -short mode")
 	}
-	points, err := RunEngineScale(EngineScaleConfig{Seed: 11, DES: true}, []int{1000})
+	points, err := RunEngineScale(EngineScaleConfig{Seed: 11, Engine: Engine{DES: true}}, []int{1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestEngineScaleDESPushesPastGoroutineSizes(t *testing.T) {
 // TestEngineScaleEventDriversMatchOracles is the driver differential:
 // at n ≤ 200 the event-driver sweep on the DES engine must form exactly
 // the groups and deliver exactly the messages of the goroutine engine's
-// Wave-pool drivers. Groups and Delivered are timing-independent
+// blocking drivers. Groups and Delivered are timing-independent
 // observables of the same protocol, so any divergence is an
 // event-translation bug, not schedule noise.
 func TestEngineScaleEventDriversMatchOracles(t *testing.T) {
@@ -78,7 +78,7 @@ func TestEngineScaleEventDriversMatchOracles(t *testing.T) {
 			}
 			return points[0]
 		}
-		event := run(EngineScaleConfig{Seed: 7, DES: true})
+		event := run(EngineScaleConfig{Seed: 7, Engine: Engine{DES: true}})
 		goro := run(EngineScaleConfig{Seed: 7})
 		if event.Groups != goro.Groups || event.Delivered != goro.Delivered {
 			t.Errorf("n=%d: event drivers (groups=%d delivered=%d) != goroutine drivers (groups=%d delivered=%d)",
@@ -102,7 +102,7 @@ func TestEngineScaleTraceInvariantAcrossShardsAndWorkers(t *testing.T) {
 	first := true
 	for _, shards := range []int{1, 4, 16} {
 		for _, workers := range []int{1, 4} {
-			points, err := RunEngineScale(EngineScaleConfig{Seed: 13, DES: true, Shards: shards, Workers: workers}, []int{n})
+			points, err := RunEngineScale(EngineScaleConfig{Seed: 13, Engine: Engine{DES: true, Shards: shards, Workers: workers}}, []int{n})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/des"
@@ -31,7 +30,9 @@ import (
 // Each run therefore measures two figures: the rounds to convergence,
 // and the steady wire bytes per round once converged — the committed
 // BENCH_gossip.json claim is that the second is a fraction of
-// fan-out's at a thousand devices and beyond.
+// fan-out's at a thousand devices and beyond. Both modes run on the
+// sweep kernel (sweep.go), where a discrete-event run replays from its
+// seed.
 //
 // The world is a field of Bluetooth-scale proximity clusters (the
 // paper's piconet communities): 16 devices per cluster, clusters far
@@ -82,14 +83,8 @@ type GossipScaleConfig struct {
 	// MeasureRounds is the steady tail measured after convergence
 	// (default 4 — one full anti-entropy period at the default knobs).
 	MeasureRounds int
-	// Wave bounds concurrently driven devices per sweep (default 1024).
-	Wave int
-	// DES selects the discrete-event engine; Shards overrides its
-	// shard count (default 8) and Workers its executor count (default
-	// GOMAXPROCS).
-	DES     bool
-	Shards  int
-	Workers int
+	// Engine selects the transport.
+	Engine
 	// Gossip overrides the engine knobs (zero = package defaults).
 	Gossip gossip.Config
 }
@@ -100,12 +95,6 @@ func (c GossipScaleConfig) withDefaults() GossipScaleConfig {
 	}
 	if c.MeasureRounds <= 0 {
 		c.MeasureRounds = 4
-	}
-	if c.Wave <= 0 {
-		c.Wave = 1024
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	return c
 }
@@ -140,86 +129,67 @@ func RunGossipScaleMode(cfg GossipScaleConfig, n int, mode string) (GossipScaleP
 	return p, nil
 }
 
-// gossipScaleWorld is one built world: transport, device list and the
+// gossipScaleWorld is one built world: transport, device list, the
 // epoch-0 neighborhoods (the world is static, so every round shares
-// the one snapshot).
+// the one snapshot) and the mode's per-device drivers.
 type gossipScaleWorld struct {
-	net   *netsim.Network
-	devs  []ids.DeviceID
-	neigh [][]ids.DeviceID
+	net     *netsim.Network
+	devs    []ids.DeviceID
+	neigh   [][]ids.DeviceID
+	drivers []driver
 }
 
-// gossipScaleDriver abstracts one mode over the two-phase measurement:
-// sweep drives one round for every device, converged reports full
-// neighborhood coverage, finish collects mode-specific counters.
-type gossipScaleDriver interface {
-	sweep()
+// gossipScaleMode is one mode over the two-phase measurement: converged
+// reports full neighborhood coverage, finish collects mode-specific
+// counters and stops serving.
+type gossipScaleMode interface {
 	converged() bool
 	finish(point *GossipScalePoint)
 }
 
 func runGossipScalePoint(cfg GossipScaleConfig, n int, mode string) (GossipScalePoint, error) {
 	seed := cfg.Seed + int64(n)
-	opts := []radio.Option{radio.WithScale(vtime.NewScale(1e-6))}
-	var sched *des.Scheduler
-	if cfg.DES {
-		sched = des.NewScheduler(seed, cfg.Shards)
-		if cfg.Workers > 0 {
-			sched.SetWorkers(cfg.Workers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
-	devs, err := placeGossipClusters(env, n, seed)
+	s := newSweep(cfg.Engine, seed, vtime.NewScale(1e-6))
+	defer s.net.Close()
+	devs, err := placeGossipClusters(s.env, n, seed)
 	if err != nil {
 		return GossipScalePoint{}, err
 	}
-	var net *netsim.Network
-	if cfg.DES {
-		net = netsim.NewDES(env, seed, sched)
-		sched.Start()
-		defer sched.Stop()
-	} else {
-		net = netsim.New(env, seed)
-	}
-	defer net.Close()
 
 	// Pin every neighborhood to the epoch-0 snapshot once: the world is
 	// static, and per-round un-pinned queries would each rebuild the
 	// O(n) world state (the radio package's query-epoch rule).
-	w := &gossipScaleWorld{net: net, devs: devs, neigh: make([][]ids.DeviceID, n)}
+	w := &gossipScaleWorld{net: s.net, devs: devs, neigh: make([][]ids.DeviceID, n)}
 	for i, dev := range devs {
-		w.neigh[i] = env.NeighborsAt(dev, radio.Bluetooth, 0)
+		w.neigh[i] = s.env.NeighborsAt(dev, radio.Bluetooth, 0)
 	}
 
-	var drv gossipScaleDriver
+	var m gossipScaleMode
 	switch mode {
 	case "fanout":
-		drv, err = newGossipScaleFanout(cfg, w)
+		m, err = newGossipScaleFanout(w)
 	case "gossip":
-		drv, err = newGossipScaleGossip(cfg, w)
+		m, err = newGossipScaleGossip(cfg, w)
 	default:
 		err = fmt.Errorf("unknown mode %q", mode)
 	}
 	if err != nil {
 		return GossipScalePoint{}, err
 	}
+	round := func() { s.round(devs, w.drivers, 0) }
 
-	point := GossipScalePoint{Devices: n, Mode: mode, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := GossipScalePoint{Devices: n, Mode: mode, Engine: cfg.name()}
 	sw := vtime.NewStopwatch(vtime.Real(), vtime.Identity())
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		drv.sweep()
-		point.Rounds = round
-		if drv.converged() {
-			point.ConvergedRound = round
+	for r := 1; r <= cfg.MaxRounds; r++ {
+		round()
+		point.Rounds = r
+		if m.converged() {
+			point.ConvergedRound = r
 			break
 		}
 	}
 	if point.ConvergedRound == 0 {
-		drv.finish(&point)
+		m.finish(&point)
 		return GossipScalePoint{}, fmt.Errorf("never converged in %d rounds", cfg.MaxRounds)
 	}
 	// A short settle phase before the measured tail: right at
@@ -228,17 +198,17 @@ func runGossipScalePoint(cfg GossipScaleConfig, n int, mode string) (GossipScale
 	// feedback has killed them. Fan-out is round-invariant, so the
 	// settle is a no-op for the baseline.
 	for i := 0; i < gossipScaleSettleRounds; i++ {
-		drv.sweep()
+		round()
 		point.Rounds++
 	}
-	point.ConvergeBytes = net.Counters().BytesDelivered
+	point.ConvergeBytes = s.net.Counters().BytesDelivered
 	for i := 0; i < cfg.MeasureRounds; i++ {
-		drv.sweep()
+		round()
 		point.Rounds++
 	}
-	drv.finish(&point)
+	m.finish(&point)
 	point.Wall = sw.Elapsed()
-	c := net.Counters()
+	c := s.net.Counters()
 	point.Bytes = c.BytesDelivered
 	point.Messages = c.MessagesDelivered
 	point.SteadyBytesPerRound = float64(point.Bytes-point.ConvergeBytes) / float64(cfg.MeasureRounds)
@@ -286,102 +256,36 @@ func gossipScaleRecord(devs []ids.DeviceID, i int) gossip.Record {
 	}
 }
 
-// sweepWave runs fn(i) for every device with at most cfg.Wave drivers
-// in flight.
-func sweepWave(cfg GossipScaleConfig, n int, fn func(i int)) {
-	workers := cfg.Wave
-	if workers > n {
-		workers = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
-// gossipScaleFanout is the baseline: every round, every device dials
-// each radio neighbor and pulls its full record — the periodic
-// re-advertisement fan-out. It covers the neighborhood in round one
-// and pays the identical full cost every round after.
+// gossipScaleFanout is the baseline: every round, every device pulls
+// each radio neighbor's full record — the periodic re-advertisement
+// fan-out. It covers the neighborhood in round one and pays the
+// identical full cost every round after. Each device's covered set is
+// written only by its own round.
 type gossipScaleFanout struct {
-	cfg     GossipScaleConfig
-	w       *gossipScaleWorld
-	mu      sync.Mutex
-	covered []map[ids.DeviceID]bool
+	w        *gossipScaleWorld
+	covered  []map[ids.DeviceID]bool
+	services []*netsim.Service
 }
 
-func newGossipScaleFanout(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipScaleFanout, error) {
-	ctx := context.Background()
-	d := &gossipScaleFanout{cfg: cfg, w: w, covered: make([]map[ids.DeviceID]bool, len(w.devs))}
-	for i := range d.covered {
-		d.covered[i] = make(map[ids.DeviceID]bool, len(w.neigh[i]))
-	}
+// fanoutPull is the fan-out baseline's request frame.
+var fanoutPull = []byte("pull")
+
+func newGossipScaleFanout(w *gossipScaleWorld) (*gossipScaleFanout, error) {
+	d := &gossipScaleFanout{w: w, covered: make([]map[ids.DeviceID]bool, len(w.devs))}
 	for i, dev := range w.devs {
-		lis, err := w.net.Listen(dev, "adv")
+		d.covered[i] = make(map[ids.DeviceID]bool, len(w.neigh[i]))
+		frame := gossip.MarshalDelta(gossip.FrameDelta{From: dev, Records: []gossip.Record{gossipScaleRecord(w.devs, i)}})
+		svc, err := w.net.Serve(dev, "adv", func([]byte) ([]byte, netsim.ServeStep) { return frame, nil })
 		if err != nil {
 			return nil, err
 		}
-		frame := gossip.MarshalDelta(gossip.FrameDelta{From: dev, Records: []gossip.Record{gossipScaleRecord(w.devs, i)}})
-		go func() {
-			for {
-				c, err := lis.Accept(ctx)
-				if err != nil {
-					return
-				}
-				go func(c *netsim.Conn) {
-					defer func() { _ = c.Close() }()
-					for {
-						if _, err := c.Recv(ctx); err != nil {
-							return
-						}
-						if c.Send(frame) != nil {
-							return
-						}
-					}
-				}(c)
-			}
-		}()
+		d.services = append(d.services, svc)
+		w.drivers = append(w.drivers, &fanoutPuller{d: d, i: i})
 	}
 	return d, nil
 }
 
-func (d *gossipScaleFanout) sweep() {
-	ctx := context.Background()
-	sweepWave(d.cfg, len(d.w.devs), func(i int) {
-		for _, peer := range d.w.neigh[i] {
-			c, err := d.w.net.Dial(ctx, d.w.devs[i], peer, radio.Bluetooth, "adv")
-			if err != nil {
-				continue
-			}
-			if c.Send([]byte("pull")) == nil {
-				if resp, err := c.Recv(ctx); err == nil {
-					if delta, err := gossip.UnmarshalDelta(resp); err == nil && len(delta.Records) == 1 {
-						d.mu.Lock()
-						d.covered[i][delta.Records[0].Device] = true
-						d.mu.Unlock()
-					}
-				}
-			}
-			_ = c.Close()
-		}
-	})
-}
-
 func (d *gossipScaleFanout) converged() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	for i, want := range d.w.neigh {
 		for _, peer := range want {
 			if !d.covered[i][peer] {
@@ -392,19 +296,56 @@ func (d *gossipScaleFanout) converged() bool {
 	return true
 }
 
-func (d *gossipScaleFanout) finish(*GossipScalePoint) {}
+func (d *gossipScaleFanout) finish(*GossipScalePoint) {
+	for _, svc := range d.services {
+		svc.Stop()
+	}
+}
+
+// fanoutPuller is device i's fan-out round: one pull handshake per
+// radio neighbor.
+type fanoutPuller struct {
+	d    *gossipScaleFanout
+	i, j int
+}
+
+func (p *fanoutPuller) Round(ctx context.Context) {
+	p.j = 0
+	p.d.w.net.Round(ctx, p.d.w.devs[p.i], radio.Bluetooth, "adv", p.next)
+}
+
+func (p *fanoutPuller) RoundEvent(ctx *des.Ctx, then func(*des.Ctx)) {
+	p.j = 0
+	p.d.w.net.RoundEvent(ctx, p.d.w.devs[p.i], radio.Bluetooth, "adv", p.next, then)
+}
+
+// next draws the pull from the next neighbor; a failed pull just
+// leaves the neighbor uncovered.
+func (p *fanoutPuller) next() (netsim.Handshake, bool) {
+	neigh := p.d.w.neigh[p.i]
+	if p.j >= len(neigh) {
+		return netsim.Handshake{}, false
+	}
+	p.j++
+	return netsim.Handshake{To: neigh[p.j-1], Open: fanoutPull, Step: func(resp []byte, err error) ([]byte, netsim.Step) {
+		if err == nil {
+			if delta, err := gossip.UnmarshalDelta(resp); err == nil && len(delta.Records) == 1 {
+				p.d.covered[p.i][delta.Records[0].Device] = true
+			}
+		}
+		return nil, nil
+	}}, true
+}
 
 // gossipScaleGossip drives the epidemic engine.
 type gossipScaleGossip struct {
-	cfg   GossipScaleConfig
 	w     *gossipScaleWorld
 	nodes []*gossip.Node
 }
 
 func newGossipScaleGossip(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipScaleGossip, error) {
-	d := &gossipScaleGossip{cfg: cfg, w: w, nodes: make([]*gossip.Node, len(w.devs))}
+	d := &gossipScaleGossip{w: w}
 	for i, dev := range w.devs {
-		i, dev := i, dev
 		node, err := gossip.NewNode(gossip.Params{
 			Device:    dev,
 			Member:    ids.MemberID(dev),
@@ -414,20 +355,16 @@ func newGossipScaleGossip(cfg GossipScaleConfig, w *gossipScaleWorld) (*gossipSc
 			Seed:      cfg.Seed,
 			Config:    cfg.Gossip,
 		})
+		if err == nil {
+			err = node.Start()
+		}
 		if err != nil {
 			return nil, err
 		}
-		if err := node.Start(); err != nil {
-			return nil, err
-		}
-		d.nodes[i] = node
+		d.nodes = append(d.nodes, node)
+		w.drivers = append(w.drivers, node)
 	}
 	return d, nil
-}
-
-func (d *gossipScaleGossip) sweep() {
-	ctx := context.Background()
-	sweepWave(d.cfg, len(d.nodes), func(i int) { d.nodes[i].Round(ctx) })
 }
 
 func (d *gossipScaleGossip) converged() bool {

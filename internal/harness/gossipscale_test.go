@@ -10,7 +10,7 @@ import (
 // must actually move bytes.
 func TestGossipScaleModes(t *testing.T) {
 	for _, des := range []bool{false, true} {
-		points, err := RunGossipScale(GossipScaleConfig{Seed: 7, DES: des}, []int{60})
+		points, err := RunGossipScale(GossipScaleConfig{Seed: 7, Engine: Engine{DES: des}}, []int{60})
 		if err != nil {
 			t.Fatalf("des=%v: %v", des, err)
 		}

@@ -58,17 +58,14 @@ type OverloadConfig struct {
 	// Rounds is how many steady observer rounds each point measures
 	// (default 3).
 	Rounds int
-	// DES runs the point on the discrete-event engine with the load
-	// generator as event-native session cascades — the engine-scale
-	// driver discipline: each offered session is a self-rescheduling
+	// Engine selects the transport. On the discrete-event engine the
+	// load generator runs as event-native session cascades: each
+	// offered session is a self-rescheduling
 	// DialEvent/SendEvent/RecvEvent chain on the scheduler, so offered
 	// load costs O(1) goroutines at any multiple. The measured observer
-	// stays the blocking client (integrated mode), exactly as in the
-	// DTN and gossip sweeps. Shards overrides the scheduler's shard
-	// count (default 8) and Workers its executor count.
-	DES     bool
-	Shards  int
-	Workers int
+	// stays the blocking client, in integrated mode as in the delta
+	// sweep.
+	Engine
 }
 
 func (c OverloadConfig) withDefaults() OverloadConfig {
@@ -89,9 +86,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 3
-	}
-	if c.Shards <= 0 {
-		c.Shards = 8
 	}
 	return c
 }
@@ -126,12 +120,7 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 			MaxSessions: cfg.Capacity,
 			QueueDepth:  cfg.QueueDepth,
 		})
-	if cfg.DES {
-		builder.WithDES(cfg.Shards)
-		if cfg.Workers > 0 {
-			builder.WithDESWorkers(cfg.Workers)
-		}
-	}
+	cfg.build(builder)
 	side := 1 + peers/4
 	for i := 0; i < peers; i++ {
 		builder.AddPeer(scenario.PeerSpec{
@@ -167,10 +156,7 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 
 	hot := d.MustPeer("peer-0000")
 	hotDev := hot.Daemon.Device()
-	point := OverloadPoint{Devices: peers, Load: load, Capacity: cfg.Capacity, Engine: "goroutine"}
-	if cfg.DES {
-		point.Engine = "des"
-	}
+	point := OverloadPoint{Devices: peers, Load: load, Capacity: cfg.Capacity, Engine: cfg.name()}
 
 	// Load generator: load×capacity concurrent raw sessions against the
 	// hot server, each pinging in a tight loop and re-dialing whenever

@@ -65,7 +65,7 @@ func TestOverloadDESEventLoad(t *testing.T) {
 		Devices: []int{24},
 		Loads:   []int{10},
 		Rounds:  2,
-		DES:     true,
+		Engine:  Engine{DES: true},
 	}
 	points, err := RunOverload(cfg)
 	if err != nil {

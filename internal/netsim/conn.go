@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,9 @@ type connPair struct {
 	ends [2]Conn
 	des  [2]desConnState
 	refs atomic.Int32
+	// ended latches the first fail of either end: the connection ends
+	// there, and a link loss counts there, once.
+	ended atomic.Bool
 }
 
 func (p *connPair) ref() { p.refs.Add(1) }
@@ -145,6 +149,7 @@ func newConnPair(n *Network, from, to *node, tech radio.Technology, port string)
 	b.reset(n, p, to, from, tech, port, seq)
 	a.peer, b.peer = b, a
 	p.refs.Store(2) // one user hold per end
+	p.ended.Store(false)
 	if n.sched != nil {
 		// Event engine: no pumps; Send schedules delivery events, and
 		// the admission semaphore replaces the transmit queue.
@@ -373,10 +378,16 @@ func (c *Conn) errOrClosed() error {
 }
 
 // fail terminates this end with the given error (first caller wins;
-// later calls are no-ops).
+// later calls are no-ops). The pair's first fail ends the connection,
+// and only it counts a link failure: the pump, a delivery event and the
+// link sweep may each notice one severed link, and a user close that
+// came first leaves nothing to count.
 func (c *Conn) fail(err error) {
 	if !c.failed.CompareAndSwap(false, true) {
 		return
+	}
+	if c.pair.ended.CompareAndSwap(false, true) && errors.Is(err, ErrLinkLost) {
+		c.net.counters.linkFailures.Add(1)
 	}
 	c.mu.Lock()
 	c.err = err
@@ -449,10 +460,11 @@ func (c *Conn) pump() {
 			if fate.Retransmits > 0 {
 				c.net.counters.messagesRetransmitted.Add(uint64(fate.Retransmits))
 			}
+			// A link loss fails the conn before releasing the message, so
+			// a Close waiting on the flush finds the loss already counted.
 			if fate.Reset {
-				c.pending.Done()
-				c.net.counters.linkFailures.Add(1)
 				c.failBoth(fmt.Errorf("%w: %s -> %s over %v (retransmission budget exhausted)", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
+				c.pending.Done()
 				return
 			}
 			if fate.Delay > 0 {
@@ -463,9 +475,8 @@ func (c *Conn) pump() {
 				c.net.counters.messagesCorrupted.Add(1)
 			}
 			if !c.net.linkUp(c.local, c.remote, c.tech) {
-				c.pending.Done()
-				c.net.counters.linkFailures.Add(1)
 				c.failBoth(fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
+				c.pending.Done()
 				return
 			}
 			c.net.counters.deliver(len(msg))

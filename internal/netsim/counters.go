@@ -15,7 +15,8 @@ type Counters struct {
 	BytesDelivered uint64
 	// BroadcastsSent counts SendBroadcast calls.
 	BroadcastsSent uint64
-	// LinkFailures counts connections severed by ErrLinkLost.
+	// LinkFailures counts connections severed by ErrLinkLost, each
+	// once, whichever path noticed the dead link first.
 	LinkFailures uint64
 	// MessagesRetransmitted counts extra PHY transfer charges paid to
 	// injected loss (faults.Plan) before a message got through.

@@ -340,10 +340,11 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 	if m.fate.Retransmits > 0 {
 		n.counters.messagesRetransmitted.Add(uint64(m.fate.Retransmits))
 	}
+	// A link loss tears the conn down before releasing the message, as
+	// the pump does, so a Close waiting on the flush finds it counted.
 	if m.fate.Reset {
-		c.desAbandon()
-		n.counters.linkFailures.Add(1)
 		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v (retransmission budget exhausted)", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
+		c.desAbandon()
 		return
 	}
 	if m.fate.Corrupt {
@@ -351,9 +352,8 @@ func (c *Conn) desDeliver(ctx *des.Ctx, m *desMsg) {
 		n.counters.messagesCorrupted.Add(1)
 	}
 	if !n.linkUp(c.local, c.remote, c.tech) {
-		c.desAbandon()
-		n.counters.linkFailures.Add(1)
 		c.desTeardown(ctx, fmt.Errorf("%w: %s -> %s over %v", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
+		c.desAbandon()
 		return
 	}
 	p := c.peer

@@ -151,7 +151,6 @@ func (n *Network) sweepStep(teardown func(c *Conn, err error)) bool {
 	// the dead conns fail in sortConnsDet order.
 	sortConnsDet(dead)
 	for _, c := range dead {
-		n.counters.linkFailures.Add(1)
 		teardown(c, fmt.Errorf("%w: %s <-> %s over %v", ErrLinkLost, c.local.dev, c.remote.dev, c.tech))
 		c.unref()
 	}

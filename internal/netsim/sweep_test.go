@@ -502,3 +502,88 @@ func TestBroadcastTargetsMatchPerPairOracle(t *testing.T) {
 		net.Close()
 	}
 }
+
+// TestLinkFailureCountedOncePerConn loses the link under one conn at a
+// time, each with a message in flight, and each conn must count one
+// link failure however the paths that can notice the loss race. In the
+// partition leg a Partition severs the link mid-transfer, so the
+// transfer (the pump's sleep, or the delivery event) and the link sweep
+// may both find it. In the close leg a fault plan resets every message
+// and the sender closes right after sending, as a server closes after
+// its reply: the loss must be counted before Close, which waits for the
+// flush, ends the conn.
+func TestLinkFailureCountedOncePerConn(t *testing.T) {
+	const conns = 300
+	msg := make([]byte, 4000)
+	for _, eng := range sweepEngines {
+		for _, leg := range []string{"partition", "close"} {
+			t.Run(eng.name+"/"+leg, func(t *testing.T) {
+				opts := []radio.Option{WithTestScale()}
+				var sched *des.Scheduler
+				if eng.useDES {
+					sched = des.NewScheduler(1, 2)
+					opts = append(opts, radio.WithClock(sched.Clock()))
+				}
+				env := radio.NewEnvironment(opts...)
+				var net *Network
+				if eng.useDES {
+					net = NewDES(env, 1, sched)
+					sched.Start()
+					t.Cleanup(sched.Stop)
+				} else {
+					net = New(env, 1)
+				}
+				t.Cleanup(net.Close)
+				if leg == "close" {
+					net.SetFaults(faults.New(1).SetLink(faults.LinkProfile{Loss: 1}))
+				}
+				addStatic(t, env, "a", geo.Pt(0, 0), radio.Bluetooth)
+				addStatic(t, env, "b", geo.Pt(5, 0), radio.Bluetooth)
+				ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+				defer cancel()
+				l, err := net.Listen("b", "svc")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				for i := 0; i < conns; i++ {
+					accepted := make(chan *Conn, 1)
+					go func() {
+						c, _ := l.Accept(ctx)
+						accepted <- c
+					}()
+					c, err := net.Dial(ctx, "a", "b", radio.Bluetooth, "svc")
+					if err != nil {
+						t.Fatalf("dial %d: %v", i, err)
+					}
+					server := <-accepted
+					if server == nil {
+						t.Fatalf("accept %d failed", i)
+					}
+					if err := c.Send(msg); err != nil {
+						t.Fatalf("send %d: %v", i, err)
+					}
+					if leg == "close" {
+						c.Close()
+					} else {
+						net.Partition("a", "b")
+					}
+					for err == nil {
+						_, err = server.Recv(ctx)
+					}
+					if !errors.Is(err, ErrLinkLost) {
+						t.Fatalf("conn %d ended with %v, want ErrLinkLost", i, err)
+					}
+					if leg == "partition" {
+						net.Heal("a", "b")
+						c.Abort()
+					}
+					server.Abort()
+				}
+				if got := net.Counters().LinkFailures; got != conns {
+					t.Fatalf("%d conns lost their link, counted %d link failures", conns, got)
+				}
+			})
+		}
+	}
+}

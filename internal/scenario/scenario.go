@@ -213,34 +213,40 @@ type Deployment struct {
 	peers map[ids.MemberID]*Peer
 }
 
+// NewTransport builds a world's radio environment, with the given
+// options, and its network at seed and scale. With useDES both run on
+// a new discrete-event scheduler, not yet started: shards > 0 overrides
+// its shard count (default 8) and workers > 0 its executor count.
+// Otherwise sched is nil and the network is the goroutine engine.
+func NewTransport(seed int64, scale vtime.Scale, useDES bool, shards, workers int, opts ...radio.Option) (*radio.Environment, *des.Scheduler, *netsim.Network) {
+	opts = append([]radio.Option{radio.WithScale(scale)}, opts...)
+	if !useDES {
+		env := radio.NewEnvironment(opts...)
+		return env, nil, netsim.New(env, seed)
+	}
+	if shards <= 0 {
+		shards = desDefaultShards
+	}
+	sched := des.NewScheduler(seed, shards)
+	if workers > 0 {
+		sched.SetWorkers(workers)
+	}
+	env := radio.NewEnvironment(append(opts, radio.WithClock(sched.Clock()))...)
+	return env, sched, netsim.NewDES(env, seed, sched)
+}
+
 // Build assembles and starts the deployment.
 func (b *Builder) Build() (*Deployment, error) {
 	if len(b.peers) == 0 {
 		return nil, fmt.Errorf("scenario: no peers declared")
 	}
-	opts := []radio.Option{radio.WithScale(b.scale)}
+	var phys []radio.Option
 	for _, phy := range b.phys {
-		opts = append(opts, radio.WithPHY(phy))
+		phys = append(phys, radio.WithPHY(phy))
 	}
-	var sched *des.Scheduler
-	if b.useDES {
-		shards := b.desShards
-		if shards <= 0 {
-			shards = desDefaultShards
-		}
-		sched = des.NewScheduler(b.seed, shards)
-		if b.desWorkers > 0 {
-			sched.SetWorkers(b.desWorkers)
-		}
-		opts = append(opts, radio.WithClock(sched.Clock()))
-	}
-	env := radio.NewEnvironment(opts...)
-	var net *netsim.Network
+	env, sched, net := NewTransport(b.seed, b.scale, b.useDES, b.desShards, b.desWorkers, phys...)
 	if sched != nil {
-		net = netsim.NewDES(env, b.seed, sched)
 		sched.Start()
-	} else {
-		net = netsim.New(env, b.seed)
 	}
 	d := &Deployment{Env: env, Net: net, Sched: sched, peers: make(map[ids.MemberID]*Peer, len(b.peers))}
 

@@ -59,6 +59,22 @@ func Snapshot() map[string]bool {
 	return goroutineIDs(stacks())
 }
 
+// GoroutinesAbove reports how many goroutines are alive beyond base, a
+// runtime.NumGoroutine reading, once goroutines on their way out have
+// gone: a worker pool's goroutines signal their WaitGroup just before
+// they return, so a count taken as the pool's owner returns can still
+// include them. It waits at most leakSettleTimeout.
+func GoroutinesAbove(base int) int {
+	deadline := time.Now().Add(leakSettleTimeout) //phvet:ignore walltime settling races real goroutine exit, not simulated time
+	for {
+		n := runtime.NumGoroutine() - base
+		if n <= 0 || time.Now().After(deadline) { //phvet:ignore walltime
+			return n
+		}
+		time.Sleep(time.Millisecond) //phvet:ignore walltime
+	}
+}
+
 // waitSettled polls until no leaked goroutines remain or the settle
 // timeout expires, returning the formatted stacks of the stragglers.
 func waitSettled(baseline map[string]bool) string {
