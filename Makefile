@@ -125,10 +125,11 @@ race:
 	$(GO) test -race ./...
 
 # chaos runs the seeded fault-injection suites — the link-fault
-# matrix, the endpoint (stall/crash/overload) matrix, and the
-# store-carry-forward DTN matrix, each on both transport engines (the
-# TestChaos*DES variants re-run the matrices on the discrete-event
-# engine) — twice under the race detector: -count=2 re-runs every
+# matrix, the endpoint (stall/crash/overload) matrix, the gossip matrix
+# and the store-carry-forward DTN matrix, each on both transport
+# engines (rows of one chaos table; the TestChaos*DES rows run the
+# matrices on the discrete-event engine) — twice under the race
+# detector: -count=2 re-runs every
 # scenario from the same seeds, so a pass also demonstrates replay
 # determinism end to end. The explicit -timeout has headroom over go
 # test's 10m default: three matrices × two engines × two counts under

@@ -70,8 +70,7 @@ type Door struct {
 	cancelMon  func()
 	transcript []string
 
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	svc *netsim.Service
 }
 
 // NewDoor registers the access-control service on the door's device and
@@ -88,18 +87,14 @@ func NewDoor(lib *peerhood.Library, secret string) (*Door, error) {
 	if err != nil {
 		return nil, fmt.Errorf("accesscontrol: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	d.cancel = cancel
-	d.wg.Add(1)
-	go d.serve(ctx, listener)
+	d.svc = listener.Serve(d.serve)
 	return d, nil
 }
 
 // Stop unregisters and stops the door.
 func (d *Door) Stop() {
-	d.cancel()
+	d.svc.Stop()
 	d.lib.UnregisterService(ServiceName)
-	d.wg.Wait()
 	d.mu.Lock()
 	if d.cancelMon != nil {
 		d.cancelMon()
@@ -140,25 +135,9 @@ func (d *Door) logf(format string, args ...any) {
 	d.transcript = append(d.transcript, fmt.Sprintf(format, args...))
 }
 
-func (d *Door) serve(ctx context.Context, listener *netsim.Listener) {
-	defer d.wg.Done()
-	for {
-		conn, err := listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() { _ = conn.Close() }()
-			req, err := conn.Recv(ctx)
-			if err != nil {
-				return
-			}
-			resp := d.handle(conn.Remote(), string(req))
-			_ = conn.Send([]byte(resp))
-		}()
-	}
+// serve answers one request per conn.
+func (d *Door) serve(from ids.DeviceID, req []byte) ([]byte, netsim.ServeStep) {
+	return []byte(d.handle(from, string(req))), nil
 }
 
 // handle processes "UNLOCK <credential>" and "LOCK" requests.

@@ -89,8 +89,7 @@ type Coach struct {
 	mu       sync.Mutex
 	sessions map[ids.DeviceID]int // samples seen per athlete device
 
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	svc *netsim.Service
 }
 
 // NewCoach registers the fitness service and starts serving.
@@ -100,18 +99,14 @@ func NewCoach(lib *peerhood.Library) (*Coach, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fitness: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c.cancel = cancel
-	c.wg.Add(1)
-	go c.serve(ctx, listener)
+	c.svc = listener.Serve(c.serve)
 	return c, nil
 }
 
 // Stop unregisters and stops the coach.
 func (c *Coach) Stop() {
-	c.cancel()
+	c.svc.Stop()
 	c.lib.UnregisterService(ServiceName)
-	c.wg.Wait()
 }
 
 // SamplesSeen reports how many samples one athlete has streamed.
@@ -121,29 +116,9 @@ func (c *Coach) SamplesSeen(dev ids.DeviceID) int {
 	return c.sessions[dev]
 }
 
-func (c *Coach) serve(ctx context.Context, listener *netsim.Listener) {
-	defer c.wg.Done()
-	for {
-		conn, err := listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer func() { _ = conn.Close() }()
-			for {
-				req, err := conn.Recv(ctx)
-				if err != nil {
-					return
-				}
-				resp := c.handle(conn.Remote(), string(req))
-				if err := conn.Send([]byte(resp)); err != nil {
-					return
-				}
-			}
-		}()
-	}
+// serve answers one sample batch, then serves the next.
+func (c *Coach) serve(from ids.DeviceID, req []byte) ([]byte, netsim.ServeStep) {
+	return []byte(c.handle(from, string(req))), c.serve
 }
 
 // handle answers "SAMPLES <age> <hr1,hr2,...>" with

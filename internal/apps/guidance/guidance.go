@@ -167,8 +167,7 @@ type Point struct {
 	wmap  *Map
 	place string
 
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	svc *netsim.Service
 }
 
 // NewPoint registers the guidance service on a device standing at the
@@ -182,41 +181,22 @@ func NewPoint(lib *peerhood.Library, wmap *Map, place string) (*Point, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guidance: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p.cancel = cancel
-	p.wg.Add(1)
-	go p.serve(ctx, listener)
+	p.svc = listener.Serve(p.serve)
 	return p, nil
 }
 
 // Stop unregisters the point.
 func (p *Point) Stop() {
-	p.cancel()
+	p.svc.Stop()
 	p.lib.UnregisterService(ServiceName)
-	p.wg.Wait()
 }
 
 // Place returns where this point stands.
 func (p *Point) Place() string { return p.place }
 
-func (p *Point) serve(ctx context.Context, listener *netsim.Listener) {
-	defer p.wg.Done()
-	for {
-		conn, err := listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer func() { _ = conn.Close() }()
-			req, err := conn.Recv(ctx)
-			if err != nil {
-				return
-			}
-			_ = conn.Send([]byte(p.handle(string(req))))
-		}()
-	}
+// serve answers one route query per conn.
+func (p *Point) serve(_ ids.DeviceID, req []byte) ([]byte, netsim.ServeStep) {
+	return []byte(p.handle(string(req))), nil
 }
 
 // handle answers "ROUTE <destination>" with "OK <hop1>,<hop2>,..." or

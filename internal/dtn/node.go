@@ -275,11 +275,11 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 	n.mu.Unlock()
-	svc, err := n.net.Serve(n.dev, Port, n.serveOffer)
+	lis, err := n.net.Listen(n.dev, Port)
 	if err != nil {
 		return err
 	}
-	n.svc = svc
+	n.svc = lis.Serve(n.serveOffer)
 	return nil
 }
 
@@ -802,11 +802,11 @@ func (n *Node) bundlesStep(data []byte) []byte {
 
 // serveOffer and serveBundles are the serving steps: the OFFER, then
 // the BUNDLES.
-func (n *Node) serveOffer(data []byte) ([]byte, netsim.ServeStep) {
+func (n *Node) serveOffer(_ ids.DeviceID, data []byte) ([]byte, netsim.ServeStep) {
 	return n.offerStep(data), n.serveBundles
 }
 
-func (n *Node) serveBundles(data []byte) ([]byte, netsim.ServeStep) {
+func (n *Node) serveBundles(_ ids.DeviceID, data []byte) ([]byte, netsim.ServeStep) {
 	return n.bundlesStep(data), nil
 }
 

@@ -269,10 +269,11 @@ func TestMangledAckFailsPush(t *testing.T) {
 			if err := w.net.Environment().Add(peer, mobility.Static{At: pos[1]}, radio.Bluetooth); err != nil {
 				t.Fatal(err)
 			}
-			svc, err := w.net.Serve(peer, Port, func([]byte) ([]byte, netsim.ServeStep) { return mangled, nil })
+			lis, err := w.net.Listen(peer, Port)
 			if err != nil {
 				t.Fatal(err)
 			}
+			svc := lis.Serve(func(ids.DeviceID, []byte) ([]byte, netsim.ServeStep) { return mangled, nil })
 			node := w.nodes[0]
 			node.mu.Lock()
 			node.peerHave[peer] = NewBloom(1, 0.01, 1) // a cached digest covering nothing

@@ -204,11 +204,11 @@ func (n *Node) Start() error {
 	}
 	n.started = true
 	n.mu.Unlock()
-	svc, err := n.net.Serve(n.dev, Port, n.serveOpen)
+	lis, err := n.net.Listen(n.dev, Port)
 	if err != nil {
 		return err
 	}
-	n.svc = svc
+	n.svc = lis.Serve(n.serveOpen)
 	return nil
 }
 
@@ -613,7 +613,7 @@ func (n *Node) closingStep(data []byte) []byte {
 
 // serveOpen and serveClosing are the serving steps: an opening frame,
 // then the closing delta when an anti-entropy run owes one.
-func (n *Node) serveOpen(data []byte) ([]byte, netsim.ServeStep) {
+func (n *Node) serveOpen(_ ids.DeviceID, data []byte) ([]byte, netsim.ServeStep) {
 	reply, more := n.openStep(data)
 	if !more {
 		return reply, nil
@@ -621,7 +621,7 @@ func (n *Node) serveOpen(data []byte) ([]byte, netsim.ServeStep) {
 	return reply, n.serveClosing
 }
 
-func (n *Node) serveClosing(data []byte) ([]byte, netsim.ServeStep) {
+func (n *Node) serveClosing(_ ids.DeviceID, data []byte) ([]byte, netsim.ServeStep) {
 	return n.closingStep(data), nil
 }
 

@@ -159,12 +159,12 @@ func runEngineScalePoint(cfg EngineScaleConfig, n int) (EngineScalePoint, error)
 		}
 		d.ad = engineScaleAd(dev, d.self.Interests)
 		var serveAd netsim.ServeStep
-		serveAd = func([]byte) ([]byte, netsim.ServeStep) { return d.ad, serveAd }
-		svc, err := s.net.Serve(dev, "esd", serveAd)
+		serveAd = func(ids.DeviceID, []byte) ([]byte, netsim.ServeStep) { return d.ad, serveAd }
+		lis, err := s.net.Listen(dev, "esd")
 		if err != nil {
 			return EngineScalePoint{}, err
 		}
-		services = append(services, svc)
+		services = append(services, lis.Serve(serveAd))
 		drivers[i] = d
 	}
 

@@ -275,11 +275,11 @@ func newGossipScaleFanout(w *gossipScaleWorld) (*gossipScaleFanout, error) {
 	for i, dev := range w.devs {
 		d.covered[i] = make(map[ids.DeviceID]bool, len(w.neigh[i]))
 		frame := gossip.MarshalDelta(gossip.FrameDelta{From: dev, Records: []gossip.Record{gossipScaleRecord(w.devs, i)}})
-		svc, err := w.net.Serve(dev, "adv", func([]byte) ([]byte, netsim.ServeStep) { return frame, nil })
+		lis, err := w.net.Listen(dev, "adv")
 		if err != nil {
 			return nil, err
 		}
-		d.services = append(d.services, svc)
+		d.services = append(d.services, lis.Serve(func(ids.DeviceID, []byte) ([]byte, netsim.ServeStep) { return frame, nil }))
 		w.drivers = append(w.drivers, &fanoutPuller{d: d, i: i})
 	}
 	return d, nil

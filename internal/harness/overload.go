@@ -58,13 +58,12 @@ type OverloadConfig struct {
 	// Rounds is how many steady observer rounds each point measures
 	// (default 3).
 	Rounds int
-	// Engine selects the transport. On the discrete-event engine the
-	// load generator runs as event-native session cascades: each
-	// offered session is a self-rescheduling
-	// DialEvent/SendEvent/RecvEvent chain on the scheduler, so offered
-	// load costs O(1) goroutines at any multiple. The measured observer
-	// stays the blocking client, in integrated mode as in the delta
-	// sweep.
+	// Engine selects the transport. Each offered session is one
+	// loadSession round plan, walked by a goroutine with Network.Round
+	// on the goroutine engine and by a self-rescheduling RoundEvent
+	// cascade on the discrete-event engine, so there offered load costs
+	// O(1) goroutines at any multiple. The measured observer stays the
+	// blocking client, in integrated mode as in the delta sweep.
 	Engine
 }
 
@@ -161,48 +160,13 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 	// Load generator: load×capacity concurrent raw sessions against the
 	// hot server, each pinging in a tight loop and re-dialing whenever
 	// it is shed. Sourced from a handful of neighbor devices so no
-	// single radio serializes the pressure. On the goroutine engine
-	// each session is a goroutine; on the event engine each session is
-	// an olSession event cascade.
+	// single radio serializes the pressure.
 	offered := load * cfg.Capacity
 	gens := 4
 	if peers < gens {
 		gens = peers
 	}
-	var stopLoad func()
-	ping := community.MarshalRequest(community.Request{Op: community.OpPing})
-	if cfg.DES {
-		stopLoad = startEventLoad(d, offered, gens, hotDev, ping)
-	} else {
-		loadCtx, cancelLoad := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		for i := 0; i < offered; i++ {
-			src := d.MustPeer(ids.MemberID(fmt.Sprintf("peer-%04d", 1+i%gens))).Lib
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for loadCtx.Err() == nil {
-					conn, err := src.Connect(loadCtx, hotDev, community.ServiceName)
-					if err != nil {
-						continue
-					}
-					for loadCtx.Err() == nil {
-						if err := conn.Send(ping); err != nil {
-							break
-						}
-						if _, err := conn.Recv(loadCtx); err != nil {
-							break
-						}
-					}
-					conn.Abort()
-				}
-			}()
-		}
-		stopLoad = func() {
-			cancelLoad()
-			wg.Wait()
-		}
-	}
+	stopLoad := startLoad(ctx, d, offered, gens, hotDev)
 	vtime.Real().Sleep(loadSettle)
 
 	// Measured steady rounds while the hot peer is under fire.
@@ -223,104 +187,98 @@ func runOverloadPoint(cfg OverloadConfig, peers, load int) (OverloadPoint, error
 	return point, nil
 }
 
-// olRedialDelay is the modeled pause before a shed or failed session
-// dials again — the event-engine stand-in for the goroutine loop's
-// natural re-dial latency.
+// olRedialDelay is the modeled pause between one load session and the
+// next dial, after the server sheds a session or a dial fails.
 const olRedialDelay = 20 * time.Millisecond
 
-// olSession is one offered load session as an event cascade — the
-// event-native translation of the goroutine load generator's
-// dial/ping/redial loop, in the engine-scale driver discipline: every
-// step is a DialEvent/SendEvent/RecvEvent continuation scheduled on
-// the session's home, so offered load needs no goroutines however
-// large the multiple. A session that is shed (error at any step)
-// schedules its re-dial after olRedialDelay instead of recursing
-// inside the same event.
-type olSession struct {
+// loadSession is one offered load session as a round plan: each round
+// is one ping handshake with the hot server, whose step pings again
+// until an error (the server shedding the session) or the stop flag
+// ends it, and rounds run olRedialDelay apart.
+type loadSession struct {
 	net   *netsim.Network
 	src   ids.DeviceID
 	hot   ids.DeviceID
-	home  uint64
 	port  string
 	ping  []byte
 	retry time.Duration
 	stop  *atomic.Bool
-	done  *sync.WaitGroup
 }
 
-// run dials the hot server; retirement (stop flag) is checked at every
-// continuation so stopEventLoad's Wait returns once in-flight
-// exchanges drain.
-func (s *olSession) run(ctx *des.Ctx) {
+// plan draws one round: the ping handshake, unless the load stopped.
+func (s *loadSession) plan() func() (netsim.Handshake, bool) {
+	drawn := false
+	return func() (netsim.Handshake, bool) {
+		if drawn || s.stop.Load() {
+			return netsim.Handshake{}, false
+		}
+		drawn = true
+		return netsim.Handshake{To: s.hot, Open: s.ping, Step: s.pong}, true
+	}
+}
+
+// pong takes a reply to a ping and pings again.
+func (s *loadSession) pong(_ []byte, err error) ([]byte, netsim.Step) {
+	if err != nil || s.stop.Load() {
+		return nil, nil
+	}
+	return s.ping, s.pong
+}
+
+// run walks the plan with blocking rounds until ctx ends.
+func (s *loadSession) run(ctx context.Context, clock vtime.Clock) {
+	for ctx.Err() == nil {
+		s.net.Round(ctx, s.src, radio.Bluetooth, s.port, s.plan())
+		select {
+		case <-ctx.Done():
+		case <-clock.After(s.retry):
+		}
+	}
+}
+
+// runEvent walks the plan as an event cascade that re-arms itself
+// until the stop flag is set, then calls done.
+func (s *loadSession) runEvent(ctx *des.Ctx, done func()) {
 	if s.stop.Load() {
-		s.done.Done()
+		done()
 		return
 	}
-	s.net.DialEvent(ctx, s.src, s.hot, radio.Bluetooth, s.port, func(ctx *des.Ctx, c *netsim.Conn, err error) {
-		if err != nil {
-			s.later(ctx)
-			return
-		}
-		s.exchange(ctx, c)
+	s.net.RoundEvent(ctx, s.src, radio.Bluetooth, s.port, s.plan(), func(ctx *des.Ctx) {
+		ctx.At(s.retry, netsim.DeviceHome(s.src), func(ctx *des.Ctx) { s.runEvent(ctx, done) })
 	})
 }
 
-// later schedules the next dial attempt; synchronous dial failures
-// must not recurse inside the calling event.
-func (s *olSession) later(ctx *des.Ctx) {
-	if s.stop.Load() {
-		s.done.Done()
-		return
-	}
-	ctx.At(s.retry, s.home, s.run)
-}
-
-// exchange is the ping loop: send, await the reply in a parked
-// RecvEvent, repeat until the server sheds the session.
-func (s *olSession) exchange(ctx *des.Ctx, c *netsim.Conn) {
-	if s.stop.Load() {
-		c.CloseEvent(ctx)
-		s.done.Done()
-		return
-	}
-	if c.SendEvent(ctx, s.ping) != nil {
-		c.CloseEvent(ctx)
-		s.later(ctx)
-		return
-	}
-	c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, err error) {
-		if err != nil {
-			c.CloseEvent(ctx)
-			s.later(ctx)
-			return
-		}
-		s.exchange(ctx, c)
-	})
-}
-
-// startEventLoad seeds one olSession cascade per offered session on
-// the deployment's scheduler and returns the stop function: it flips
-// the shared flag and waits for every cascade to notice it at its next
-// continuation — a parked session always has either a reply or a
-// teardown coming to wake it, so the wait terminates.
-func startEventLoad(d *scenario.Deployment, offered, gens int, hotDev ids.DeviceID, ping []byte) (stop func()) {
-	retry := d.Env.Scale().ToReal(olRedialDelay)
-	port := peerhood.ServicePort(ids.ServiceName(community.ServiceName))
+// startLoad starts one loadSession per offered session against hotDev
+// and returns the stop function: it sets the stop flag, cancels the
+// blocking rounds' context and waits for every session to notice. A
+// session waiting on a reply always has the reply or a teardown coming,
+// so the wait ends.
+func startLoad(ctx context.Context, d *scenario.Deployment, offered, gens int, hotDev ids.DeviceID) (stop func()) {
+	loadCtx, cancel := context.WithCancel(ctx)
 	var flag atomic.Bool
-	var done sync.WaitGroup
+	var wg sync.WaitGroup
+	ping := community.MarshalRequest(community.Request{Op: community.OpPing})
+	port := peerhood.ServicePort(ids.ServiceName(community.ServiceName))
+	retry := d.Env.Scale().ToReal(olRedialDelay)
 	for i := 0; i < offered; i++ {
-		src := d.MustPeer(ids.MemberID(fmt.Sprintf("peer-%04d", 1+i%gens))).Daemon.Device()
-		s := &olSession{
-			net: d.Net, src: src, hot: hotDev,
-			home: netsim.DeviceHome(src), port: port, ping: ping,
-			retry: retry, stop: &flag, done: &done,
+		s := &loadSession{
+			net: d.Net, src: d.MustPeer(ids.MemberID(fmt.Sprintf("peer-%04d", 1+i%gens))).Daemon.Device(),
+			hot: hotDev, port: port, ping: ping, retry: retry, stop: &flag,
 		}
-		done.Add(1)
-		d.Sched.At(0, s.home, s.run)
+		wg.Add(1)
+		if d.Sched != nil {
+			d.Sched.At(0, netsim.DeviceHome(s.src), func(ctx *des.Ctx) { s.runEvent(ctx, wg.Done) })
+			continue
+		}
+		go func() {
+			defer wg.Done()
+			s.run(loadCtx, d.Env.Clock())
+		}()
 	}
 	return func() {
 		flag.Store(true)
-		done.Wait()
+		cancel()
+		wg.Wait()
 	}
 }
 

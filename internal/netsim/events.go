@@ -78,48 +78,74 @@ func (n *Network) finishDialEvent(ctx *des.Ctx, from, to *node, tech radio.Techn
 		fn(ctx, nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from.dev, to.dev, tech))
 		return
 	}
-	n.mu.Lock()
-	l, ok := n.listeners[portKey{dev: to.dev, port: port}]
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		fn(ctx, nil, ErrNetworkClosed)
-		return
-	}
-	if !ok {
-		fn(ctx, nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to.dev))
+	l, err := n.listener(to.dev, port)
+	if err != nil {
+		fn(ctx, nil, err)
 		return
 	}
 	local, remote := newConnPair(n, from, to, tech, port)
-	accept := l.acceptHandler()
-	if accept == nil {
-		// No event handler: fall back to the Accept queue, but an event
-		// cannot park on a full backlog the way Dial does.
-		select {
-		case l.incoming <- remote:
-		default:
-			local.Abort()
-			remote.releaseUser() // never handed to an acceptor
-			fn(ctx, nil, fmt.Errorf("%w: %s on %s (accept backlog full)", ErrNoListener, port, to.dev))
-			return
-		}
-		n.counters.connsEstablished.Add(1)
+	if n.handoff(ctx, l, remote) {
 		fn(ctx, local, nil)
 		return
 	}
+	// No event handler: fall back to the Accept queue, but an event
+	// cannot park on a full backlog the way Dial does.
+	select {
+	case l.incoming <- remote:
+	default:
+		local.Abort()
+		remote.releaseUser() // never handed to an acceptor
+		fn(ctx, nil, fmt.Errorf("%w: %s on %s (accept backlog full)", ErrNoListener, port, to.dev))
+		return
+	}
 	n.counters.connsEstablished.Add(1)
-	// The handler runs inside this event, before the dialer's
-	// continuation, so the serving side (typically arming its first
-	// RecvEvent) is in place before any message can be sent.
-	accept(ctx, remote)
 	fn(ctx, local, nil)
+}
+
+// listener returns the listener a dial to (to, port) reaches, or the
+// error the dial fails with.
+func (n *Network) listener(to ids.DeviceID, port string) (*Listener, error) {
+	n.mu.Lock()
+	l, ok := n.listeners[portKey{dev: to, port: port}]
+	closed := n.closed
+	n.mu.Unlock()
+	if closed {
+		return nil, ErrNetworkClosed
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to)
+	}
+	return l, nil
+}
+
+// handoff gives the listener end of a new pair to l's event handler
+// and reports whether l has one. An event dialer's completion (ctx)
+// runs the handler inside its own event, before the dialer's
+// continuation, so the serving side is in place before any message can
+// be sent. A blocking Dial (nil ctx) runs it inside a new event on the
+// listener device's home, where deliveries toward that end run too; a
+// message sent first waits in the receive queue.
+func (n *Network) handoff(ctx *des.Ctx, l *Listener, remote *Conn) bool {
+	accept := l.acceptHandler()
+	if accept == nil || n.sched == nil {
+		return false
+	}
+	n.counters.connsEstablished.Add(1)
+	if ctx != nil {
+		accept(ctx, remote)
+	} else {
+		n.sched.At(0, remote.local.home, func(ctx *des.Ctx) { accept(ctx, remote) })
+	}
+	return true
 }
 
 // AcceptEvent registers fn as the event-mode accept handler: every
 // connection dialed to this listener through DialEvent is handed to fn
-// synchronously inside the dial-completion event — the O(1) stand-in
-// for an Accept loop plus per-conn handler goroutine. Do not mix with
-// a concurrent Accept loop on the same listener.
+// synchronously inside the dial-completion event, and every one a
+// blocking Dial makes inside an event on the listener device's home —
+// the O(1) stand-in for an Accept loop plus per-conn handler
+// goroutine. Do not mix with a concurrent Accept loop on the same
+// listener.
 func (l *Listener) AcceptEvent(fn func(ctx *des.Ctx, c *Conn)) {
 	l.acceptMu.Lock()
 	l.acceptFn = fn

@@ -15,12 +15,13 @@ import (
 // handshake is an opening frame plus steps: the initiator's steps map
 // each reply to the next frame, the serving steps map each request to a
 // reply. A plane writes only its steps and its round plan; Round,
-// RoundEvent and Serve make the transport calls. On the goroutine
-// engine they are blocking calls (the oracle); on the discrete-event
-// engine they are one DialEvent/SendEvent/RecvEvent/CloseEvent cascade
-// per handshake and an AcceptEvent chain per served conn, so no
-// goroutine waits on a conn. Both engines make the same transport calls
-// in the same order and call the steps in the same order.
+// RoundEvent and Listener.Serve make the transport calls. On the
+// goroutine engine they are blocking calls (the oracle); on the
+// discrete-event engine they are one DialEvent/SendEvent/RecvEvent/
+// CloseEvent cascade per handshake and an AcceptEvent chain per served
+// conn, whether a cascade or a blocking Dial opened it, so no goroutine
+// waits on a conn. Both engines make the same transport calls in the
+// same order and call the steps in the same order.
 
 // Step is one initiator step. It takes the reply to the frame last
 // sent, or the error that ended the handshake (a failed dial, send or
@@ -29,15 +30,15 @@ import (
 // the last one whatever it returns.
 type Step func(reply []byte, err error) (next []byte, then Step)
 
-// ServeStep is one serving step: it answers a request with a reply and
-// the step for the next request. A nil reply closes the conn. A nil
-// next ends the serving side once the reply is sent: the event engine
-// parks the end until the initiator closes it (closing right after the
-// send would make CloseEvent poll every flush retry while the reply is
-// in flight; a parked receive costs one callback when the initiator's
-// close arrives), and the goroutine engine closes it, Close flushing
-// the reply first.
-type ServeStep func(req []byte) (reply []byte, next ServeStep)
+// ServeStep is one serving step: it answers a request from the dialing
+// device with a reply and the step for the next request. A nil reply
+// closes the conn. A nil next ends the serving side once the reply is
+// sent: the event engine parks the end until the initiator closes it
+// (closing right after the send would make CloseEvent poll every flush
+// retry while the reply is in flight; a parked receive costs one
+// callback when the initiator's close arrives), and the goroutine
+// engine closes it, Close flushing the reply first.
+type ServeStep func(from ids.DeviceID, req []byte) (reply []byte, next ServeStep)
 
 // Handshake is one planned exchange: the partner, the opening frame and
 // the step that takes the reply to it.
@@ -147,7 +148,7 @@ func (c *Conn) exchangeEvent(ctx *des.Ctx, frame []byte, step Step, done func(*d
 	})
 }
 
-// Service serves handshakes on one device port; Stop ends it.
+// Service serves handshakes on one listener; Stop ends it.
 type Service struct {
 	lis    *Listener
 	first  ServeStep
@@ -155,26 +156,23 @@ type Service struct {
 	wg     sync.WaitGroup
 }
 
-// Serve binds port on dev and serves every inbound conn from first. On
-// the discrete-event engine the listener serves through AcceptEvent:
-// each conn is an event chain armed inside its dial completion, and no
-// goroutine exists. On the goroutine engine an accept loop serves each
-// conn on a goroutine of its own.
-func (n *Network) Serve(dev ids.DeviceID, port string, first ServeStep) (*Service, error) {
-	lis, err := n.Listen(dev, port)
-	if err != nil {
-		return nil, err
-	}
-	s := &Service{lis: lis, first: first}
-	if n.sched != nil {
-		lis.AcceptEvent(func(ctx *des.Ctx, c *Conn) { c.serveEvent(ctx, first) })
-		return s, nil
+// Serve serves every conn dialed to l from first; do not Accept on l
+// as well. On the discrete-event engine the listener serves through
+// AcceptEvent: each conn is an event chain, armed inside its dial
+// completion or, for a blocking Dial, inside an event on the listener
+// device's home, and no goroutine exists. On the goroutine engine an
+// accept loop serves each conn on a goroutine of its own.
+func (l *Listener) Serve(first ServeStep) *Service {
+	s := &Service{lis: l, first: first}
+	if l.net.sched != nil {
+		l.AcceptEvent(func(ctx *des.Ctx, c *Conn) { c.serveEvent(ctx, first) })
+		return s
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
 	s.wg.Add(1)
 	go s.acceptLoop(ctx)
-	return s, nil
+	return s
 }
 
 // Stop closes the listener, cancels in-flight serving and waits for
@@ -209,7 +207,7 @@ func (s *Service) serve(ctx context.Context, c *Conn) {
 			return
 		}
 		var reply []byte
-		if reply, step = step(req); reply == nil || c.Send(reply) != nil {
+		if reply, step = step(c.Remote(), req); reply == nil || c.Send(reply) != nil {
 			return
 		}
 	}
@@ -223,7 +221,7 @@ func (c *Conn) serveEvent(ctx *des.Ctx, step ServeStep) {
 			c.CloseEvent(ctx)
 			return
 		}
-		reply, next := step(req)
+		reply, next := step(c.Remote(), req)
 		if reply == nil || c.SendEvent(ctx, reply) != nil {
 			c.CloseEvent(ctx)
 			return

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,7 +128,7 @@ type hsRun struct {
 func serveScript(replies []string, log *[]string, seen func()) ServeStep {
 	var step func(i int) ServeStep
 	step = func(i int) ServeStep {
-		return func(req []byte) ([]byte, ServeStep) {
+		return func(_ ids.DeviceID, req []byte) ([]byte, ServeStep) {
 			seen()
 			*log = append(*log, fmt.Sprintf("request %d: %q", i+1, req))
 			var reply []byte
@@ -182,10 +184,11 @@ func runHandshakeCase(t *testing.T, useDES bool, c hsCase) hsRun {
 	net, _ := hsWorld(t, useDES)
 	tracker := newPairTracker(net)
 	var run hsRun
-	svc, err := net.Serve("hs-b", "hs", serveScript(c.replies, &run.requests, tracker.see))
+	lis, err := net.Listen("hs-b", "hs")
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := lis.Serve(serveScript(c.replies, &run.requests, tracker.see))
 	// A handshake that never ends fails the test instead of hanging it.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -246,10 +249,11 @@ func TestHandshakeEventCostPinned(t *testing.T) {
 			replies[i] = fmt.Sprintf("r%d", i+1)
 		}
 		var run hsRun
-		svc, err := net.Serve("hs-b", "hs", serveScript(replies, &run.requests, func() {}))
+		lis, err := net.Listen("hs-b", "hs")
 		if err != nil {
 			t.Fatal(err)
 		}
+		svc := lis.Serve(serveScript(replies, &run.requests, func() {}))
 		before := sched.EventsExecuted()
 		net.Round(context.Background(), "hs-a", radio.Bluetooth, "hs", one(initiate(net, hsCase{to: "hs-b", trips: k}, &run, func() {})))
 		events := sched.EventsExecuted() - before
@@ -304,12 +308,13 @@ func TestHandshakeConcurrentInitiatorsOneService(t *testing.T) {
 	addStatic(t, env, "hs-srv", geo.Pt(0, 0), radio.Bluetooth)
 	var served atomic.Int64
 	var echo, last ServeStep
-	echo = func(req []byte) ([]byte, ServeStep) { served.Add(1); return req, last }
-	last = func(req []byte) ([]byte, ServeStep) { served.Add(1); return req, nil }
-	svc, err := net.Serve("hs-srv", "echo", echo)
+	echo = func(_ ids.DeviceID, req []byte) ([]byte, ServeStep) { served.Add(1); return req, last }
+	last = func(_ ids.DeviceID, req []byte) ([]byte, ServeStep) { served.Add(1); return req, nil }
+	lis, err := net.Listen("hs-srv", "echo")
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := lis.Serve(echo)
 	const initiators, handshakes = 6, 4
 	devs := make([]ids.DeviceID, initiators)
 	for i := range devs {
@@ -348,5 +353,151 @@ func TestHandshakeConcurrentInitiatorsOneService(t *testing.T) {
 	svc.Stop()
 	if got, want := served.Load(), int64(2*initiators*handshakes); got != want {
 		t.Fatalf("service answered %d requests, want %d", got, want)
+	}
+}
+
+// serveChain is one engine's run of TestHandshakeServeReachesEveryDialer:
+// what the two serving steps and the dialers saw, in order, and the
+// transport's Counters after the dials both engines make.
+type serveChain struct {
+	log      []string
+	counters Counters
+}
+
+func runServeChain(t *testing.T, useDES bool) serveChain {
+	t.Helper()
+	net, sched := hsWorld(t, useDES)
+	base := -1
+	if sched != nil {
+		sched.Start()
+		t.Cleanup(sched.Stop)
+		// Once the runner has popped a timer, its worker pool is up.
+		sched.Clock().Sleep(time.Millisecond)
+		base = runtime.NumGoroutine()
+	}
+	tracker := newPairTracker(net)
+	var (
+		mu      sync.Mutex
+		run     serveChain
+		serving = -1 // goroutines alive while the first step runs
+	)
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		run.log = append(run.log, fmt.Sprintf(format, args...))
+	}
+	var second ServeStep
+	first := func(from ids.DeviceID, req []byte) ([]byte, ServeStep) {
+		tracker.see()
+		mu.Lock()
+		if serving < 0 {
+			serving = runtime.NumGoroutine()
+		}
+		mu.Unlock()
+		logf("step 1 from %s: %s", from, req)
+		return []byte("r1:" + string(req)), second
+	}
+	second = func(from ids.DeviceID, req []byte) ([]byte, ServeStep) {
+		logf("step 2 from %s: %s", from, req)
+		if string(req) == "stop" {
+			return nil, nil
+		}
+		return []byte("r2:" + string(req)), nil
+	}
+	lis, err := net.Listen("hs-b", "hs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := lis.Serve(first)
+	// A dialer that never hears back fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	// A blocking client from hs-a: two round trips, then a conn whose
+	// second request the chain answers with nil, closing it.
+	for _, last := range []string{"q2", "stop"} {
+		c, err := net.Dial(ctx, "hs-a", "hs-b", radio.Bluetooth, "hs")
+		if err != nil {
+			t.Fatalf("blocking dial: %v", err)
+		}
+		for _, q := range []string{"q1", last} {
+			if err := c.Send([]byte(q)); err != nil {
+				t.Fatalf("send %s: %v", q, err)
+			}
+			reply, err := c.Recv(ctx)
+			logf("client got %q, closed %v", reply, errors.Is(err, ErrConnClosed))
+			if err != nil && !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("recv after %s: %v", q, err)
+			}
+		}
+		_ = c.Close()
+	}
+	// A round from hs-c, on the goroutine engine and awaited on the DES.
+	chain := func(who string) Handshake {
+		return Handshake{To: "hs-b", Open: []byte("q1"), Step: func(reply []byte, err error) ([]byte, Step) {
+			logf("%s got %q, err %v", who, reply, err)
+			return []byte("q2"), func(reply []byte, err error) ([]byte, Step) {
+				logf("%s got %q, err %v", who, reply, err)
+				return nil, nil
+			}
+		}}
+	}
+	net.Round(ctx, "hs-c", radio.Bluetooth, "hs", one(chain("round")))
+	run.counters = net.Counters()
+
+	if sched != nil {
+		done := make(chan struct{})
+		sched.At(0, DeviceHome("hs-c"), func(ctx *des.Ctx) {
+			net.RoundEvent(ctx, "hs-c", radio.Bluetooth, "hs", one(chain("round event")), func(*des.Ctx) { close(done) })
+		})
+		if err := sched.Await(done); err != nil {
+			t.Fatalf("round event: %v", err)
+		}
+		if added := serving - base; added != 0 {
+			t.Errorf("serving a conn ran %d goroutines beyond the scheduler's, want none", added)
+		}
+	}
+	svc.Stop()
+	tracker.checkReleased(t)
+	return run
+}
+
+// TestHandshakeServeReachesEveryDialer serves one Listener.Serve chain
+// of two steps to a blocking client on both engines, and to Round and,
+// on the DES, RoundEvent: replies arrive in order, each step sees the
+// dialing device, a nil reply closes the conn, both engines count the
+// same, every conn pair ends released, and on the DES serving a conn
+// runs on the scheduler alone, with no goroutine of its own.
+func TestHandshakeServeReachesEveryDialer(t *testing.T) {
+	goro := runServeChain(t, false)
+	event := runServeChain(t, true)
+	want := []string{
+		"step 1 from hs-a: q1",
+		`client got "r1:q1", closed false`,
+		"step 2 from hs-a: q2",
+		`client got "r2:q2", closed false`,
+		"step 1 from hs-a: q1",
+		`client got "r1:q1", closed false`,
+		"step 2 from hs-a: stop",
+		`client got "", closed true`,
+		"step 1 from hs-c: q1",
+		`round got "r1:q1", err <nil>`,
+		"step 2 from hs-c: q2",
+		`round got "r2:q2", err <nil>`,
+	}
+	if !reflect.DeepEqual(goro.log, want) {
+		t.Errorf("goroutine engine:\n got %q\nwant %q", goro.log, want)
+	}
+	wantDES := append(append([]string(nil), want...),
+		"step 1 from hs-c: q1",
+		`round event got "r1:q1", err <nil>`,
+		"step 2 from hs-c: q2",
+		`round event got "r2:q2", err <nil>`,
+	)
+	if !reflect.DeepEqual(event.log, wantDES) {
+		t.Errorf("event engine:\n got %q\nwant %q", event.log, wantDES)
+	}
+	if event.counters != goro.counters {
+		t.Errorf("counters: event engine %+v, goroutine engine %+v", event.counters, goro.counters)
 	}
 }

@@ -386,18 +386,14 @@ func (n *Network) Dial(ctx context.Context, from, to ids.DeviceID, tech radio.Te
 	if !n.linkUp(a, b, tech) {
 		return nil, fmt.Errorf("%w: %s -> %s over %v (lost during setup)", ErrUnreachable, from, to, tech)
 	}
-	n.mu.Lock()
-	l, ok := n.listeners[portKey{dev: to, port: port}]
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return nil, ErrNetworkClosed
+	l, err := n.listener(to, port)
+	if err != nil {
+		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoListener, port, to)
-	}
-
 	local, remote := newConnPair(n, a, b, tech, port)
+	if n.handoff(nil, l, remote) {
+		return local, nil
+	}
 	select {
 	case l.incoming <- remote:
 		n.counters.connsEstablished.Add(1)
@@ -439,9 +435,6 @@ func (l *Listener) Accept(ctx context.Context) (*Conn, error) {
 		return nil, ctx.Err()
 	}
 }
-
-// Addr returns the device and port this listener is bound to.
-func (l *Listener) Addr() (ids.DeviceID, string) { return l.key.dev, l.key.port }
 
 // Close stops accepting; established connections are unaffected.
 func (l *Listener) Close() {

@@ -21,8 +21,8 @@ const sdpPort = "peerhood.sdp"
 const servicePortPrefix = "svc:"
 
 // ServicePort is the transport port a registered service listens on —
-// the daemon's port namespacing made visible for event-native callers
-// that dial with netsim's event API instead of through a plugin.
+// the daemon's port namespacing made visible for callers that dial
+// through netsim's handshake sequencer instead of through a plugin.
 func ServicePort(name ids.ServiceName) string { return servicePortPrefix + string(name) }
 
 // Defaults for the daemon's periodic work, in modeled time.
@@ -110,7 +110,7 @@ type Daemon struct {
 	cancel      context.CancelFunc
 	probeCancel func()
 
-	sdp     *netsim.Listener
+	sdp     *netsim.Service
 	wg      sync.WaitGroup
 	stats   statCounters
 	linkq   linkCounters
@@ -155,9 +155,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("peerhood: serving SDP: %w", err)
 	}
-	d.sdp = sdp
-	d.wg.Add(1)
-	go d.serveSDP()
+	d.sdp = sdp.Serve(d.serveSDP)
 	d.listenForProbes()
 	return d, nil
 }
@@ -274,7 +272,7 @@ func (d *Daemon) Stop() {
 	if probeCancel != nil {
 		probeCancel()
 	}
-	d.sdp.Close()
+	d.sdp.Stop()
 	for _, s := range svcs {
 		s.listener.Close()
 	}
@@ -635,30 +633,14 @@ func querySDP(ctx context.Context, conn *netsim.Conn) ([]ServiceDescription, err
 	return decodeServices(resp)
 }
 
-// serveSDP answers LIST requests with the local service registry.
-func (d *Daemon) serveSDP() {
-	defer d.wg.Done()
-	ctx := context.Background()
-	for {
-		conn, err := d.sdp.Accept(ctx)
-		if err != nil {
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() { _ = conn.Close() }()
-			env := d.cfg.Network.Environment()
-			reqCtx, cancel := context.WithTimeout(ctx, realTimeout(env, sdpTimeout))
-			defer cancel()
-			req, err := conn.Recv(reqCtx)
-			if err != nil || string(req) != "LIST" {
-				return
-			}
-			d.stats.sdpQueriesServed.Add(1)
-			_ = conn.Send(encodeServices(d.LocalServices()))
-		}()
+// serveSDP answers a LIST request with the local service registry;
+// anything else closes the conn.
+func (d *Daemon) serveSDP(_ ids.DeviceID, req []byte) ([]byte, netsim.ServeStep) {
+	if string(req) != "LIST" {
+		return nil, nil
 	}
+	d.stats.sdpQueriesServed.Add(1)
+	return encodeServices(d.LocalServices()), nil
 }
 
 // realTimeout converts a modeled guard timeout to real time with a

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -228,5 +230,49 @@ func TestWithPHYOverride(t *testing.T) {
 	defer d.Stop()
 	if got := d.Env.PHY(radio.WLAN).BitRate; got != phy.BitRate {
 		t.Fatalf("WLAN bitrate = %v, want 802.11g override %v", got, phy.BitRate)
+	}
+}
+
+// TestDESDeploymentAtRestRunsTwoGoroutinesPerPeer: after Build and
+// RefreshAll, a DES deployment runs two goroutines per peer, the
+// community server's accept loop and shedder; the daemon's SDP server
+// is served as events. The growth is read as a slope between two
+// deployment sizes, so the scheduler's worker pool, which GOMAXPROCS
+// sizes, cancels out.
+func TestDESDeploymentAtRestRunsTwoGoroutinesPerPeer(t *testing.T) {
+	atRest := func(peers int) int {
+		b := fastBuilder().WithDES(0)
+		for i := 0; i < peers; i++ {
+			b.AddPeer(PeerSpec{
+				Member:    ids.MemberID(fmt.Sprintf("rest-%02d", i)),
+				Position:  geo.Pt(float64(i)*4, 0),
+				Interests: []string{"football"},
+			})
+		}
+		d, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Stop()
+		if err := d.RefreshAll(testCtx(t)); err != nil {
+			t.Fatal(err)
+		}
+		// Goroutines a discovery round started exit just after handing
+		// over their results: wait for the count to hold still.
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	small, large := atRest(16), atRest(64)
+	t.Logf("%d goroutines at rest with 16 peers, %d with 64", small, large)
+	if got, want := large-small, 2*(64-16); got != want {
+		t.Errorf("goroutines grew by %d from 16 to 64 peers (%d to %d), want %d: two per peer", got, small, large, want)
 	}
 }

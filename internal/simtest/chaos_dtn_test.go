@@ -14,15 +14,8 @@ import (
 // Custody counters must balance on every node, and whole runs must
 // replay byte-for-byte (witnessed by the folded trace digest).
 
-// dtnChaosScenarios is the size of the DTN fault matrix on the
-// goroutine engine.
-const dtnChaosScenarios = 16
-
-// dtnDESChaosScenarios mirrors it on the discrete-event engine.
-const dtnDESChaosScenarios = 8
-
-// assertDTNInvariants layers the DTN-specific checks over the standard
-// chaos invariants.
+// assertDTNInvariants is the DTN rows' check: the DTN-specific checks
+// over the standard chaos invariants, on either engine.
 func assertDTNInvariants(t *testing.T, sc Scenario, res *Result) {
 	t.Helper()
 	assertChaosInvariants(t, sc, res)
@@ -38,47 +31,6 @@ func assertDTNInvariants(t *testing.T, sc Scenario, res *Result) {
 	}
 	if res.DTN.Rounds == 0 {
 		t.Errorf("DTN scenario drove no rounds: %+v", res.DTN)
-	}
-}
-
-// TestChaosDTNSuite runs the seeded DTN matrix on the goroutine
-// engine.
-func TestChaosDTNSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite is long; skipped in -short mode")
-	}
-	for _, sc := range DTNMatrix(dtnChaosScenarios, 41) {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("scenario could not run: %v", err)
-			}
-			assertDTNInvariants(t, sc, res)
-		})
-	}
-}
-
-// TestChaosDTNSuiteDES re-runs a slice of the DTN matrix on the
-// discrete-event engine: the node never reads clocks or sleeps, so the
-// identical code must satisfy the identical invariants there.
-func TestChaosDTNSuiteDES(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite is long; skipped in -short mode")
-	}
-	for _, sc := range DTNMatrix(dtnDESChaosScenarios, 51) {
-		sc := sc
-		sc.DES = true
-		sc.Name = "des-" + sc.Name
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("scenario could not run: %v", err)
-			}
-			assertDTNInvariants(t, sc, res)
-		})
 	}
 }
 

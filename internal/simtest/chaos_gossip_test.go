@@ -12,14 +12,10 @@ import (
 // to the same fault-free oracle. Replay must stay byte-for-byte
 // deterministic with gossip traffic in the run.
 
-// gossipChaosScenarios is the size of the gossip link-fault matrix.
-const gossipChaosScenarios = 16
-
-// gossipDESChaosScenarios mirrors it on the discrete-event engine.
-const gossipDESChaosScenarios = 8
-
-// assertGossipInvariants layers the gossip-specific checks over the
-// standard chaos invariants.
+// assertGossipInvariants is the gossip rows' check: the gossip-specific
+// checks over the standard chaos invariants. The node never reads
+// clocks or sleeps, so the identical code must satisfy the identical
+// checks on the discrete-event engine.
 func assertGossipInvariants(t *testing.T, sc Scenario, res *Result) {
 	t.Helper()
 	assertChaosInvariants(t, sc, res)
@@ -33,47 +29,6 @@ func assertGossipInvariants(t *testing.T, sc Scenario, res *Result) {
 		if res.Gossip.AERuns == 0 {
 			t.Errorf("anti-entropy-only scenario ran no reconciliation: %+v", res.Gossip)
 		}
-	}
-}
-
-// TestChaosGossipSuite runs the seeded gossip matrix on the goroutine
-// engine.
-func TestChaosGossipSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite is long; skipped in -short mode")
-	}
-	for _, sc := range GossipMatrix(gossipChaosScenarios, 21) {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("scenario could not run: %v", err)
-			}
-			assertGossipInvariants(t, sc, res)
-		})
-	}
-}
-
-// TestChaosGossipSuiteDES re-runs a slice of the gossip matrix on the
-// discrete-event engine: the node never reads clocks or sleeps, so the
-// identical code must satisfy the identical invariants there.
-func TestChaosGossipSuiteDES(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite is long; skipped in -short mode")
-	}
-	for _, sc := range GossipMatrix(gossipDESChaosScenarios, 31) {
-		sc := sc
-		sc.DES = true
-		sc.Name = "des-" + sc.Name
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("scenario could not run: %v", err)
-			}
-			assertGossipInvariants(t, sc, res)
-		})
 	}
 }
 

@@ -14,45 +14,28 @@ import (
 	"repro/internal/vtime"
 )
 
-// endpointScenarios sizes the endpoint chaos suite: seeded compositions
-// of per-session stalls, slow devices, wedged peers and crash–restart
-// churn with the link-level axes.
-const endpointScenarios = 10
-
-// TestChaosEndpointSuite runs the endpoint-fault matrix with client
-// resilience armed. On top of the package's standing invariants (budgeted
-// calls, oracle reconvergence, no leaks) it requires evidence the
-// endpoint fault plane was live: a wedged peer must actually have had
-// replies withheld, a crashed peer must actually have been denied.
-func TestChaosEndpointSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos suite is long; skipped in -short mode")
+// assertEndpointInvariants is the endpoint-fault rows' check: no
+// invariant violated, oracle reconvergence and traffic driven, plus
+// evidence the endpoint fault plane was live — a wedged peer must
+// actually have had replies withheld, a crashed peer must actually have
+// been denied.
+func assertEndpointInvariants(t *testing.T, sc Scenario, res *Result) {
+	t.Helper()
+	for _, v := range res.Violations {
+		t.Errorf("invariant violated: %s", v)
 	}
-	for _, sc := range EndpointMatrix(endpointScenarios, 11) {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(sc)
-			if err != nil {
-				t.Fatalf("scenario could not run: %v", err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("invariant violated: %s", v)
-			}
-			if !res.Reconverged {
-				t.Errorf("group views never reconverged (rounds=%d, faults=%+v, client=%+v)",
-					res.RoundsToReconverge, res.Faults, res.Client)
-			}
-			if res.Calls == 0 {
-				t.Error("scenario drove no traffic")
-			}
-			if sc.StalledPeers > 0 && res.Faults.MessagesStalled == 0 {
-				t.Errorf("wedged peer withheld nothing: %+v", res.Faults)
-			}
-			if sc.CrashedPeers > 0 && res.Faults.CrashDenials == 0 {
-				t.Errorf("crashed peer denied nothing: %+v", res.Faults)
-			}
-		})
+	if !res.Reconverged {
+		t.Errorf("group views never reconverged (rounds=%d, faults=%+v, client=%+v)",
+			res.RoundsToReconverge, res.Faults, res.Client)
+	}
+	if res.Calls == 0 {
+		t.Error("scenario drove no traffic")
+	}
+	if sc.StalledPeers > 0 && res.Faults.MessagesStalled == 0 {
+		t.Errorf("wedged peer withheld nothing: %+v", res.Faults)
+	}
+	if sc.CrashedPeers > 0 && res.Faults.CrashDenials == 0 {
+		t.Errorf("crashed peer denied nothing: %+v", res.Faults)
 	}
 }
 

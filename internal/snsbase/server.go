@@ -30,9 +30,7 @@ type Server struct {
 	groups   map[string]*group
 	profiles map[string]Profile
 
-	listener *netsim.Listener
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
+	svc *netsim.Service
 }
 
 type group struct {
@@ -80,20 +78,12 @@ func NewServer(net *netsim.Network, dev ids.DeviceID, site SiteProfile) (*Server
 	if err != nil {
 		return nil, fmt.Errorf("snsbase: %w", err)
 	}
-	s.listener = listener
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.wg.Add(1)
-	go s.acceptLoop(ctx)
+	s.svc = listener.Serve(s.serve)
 	return s, nil
 }
 
 // Stop shuts the server down.
-func (s *Server) Stop() {
-	s.cancel()
-	s.listener.Close()
-	s.wg.Wait()
-}
+func (s *Server) Stop() { s.svc.Stop() }
 
 // Site returns the server's site profile.
 func (s *Server) Site() SiteProfile { return s.site }
@@ -120,39 +110,21 @@ func (s *Server) SeedProfile(p Profile) {
 	s.profiles[p.Member] = p
 }
 
-func (s *Server) acceptLoop(ctx context.Context) {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() { _ = conn.Close() }()
-			for {
-				frame, err := conn.Recv(ctx)
-				if err != nil {
-					return
-				}
-				var req request
-				resp := response{Status: "ok"}
-				if err := json.Unmarshal(frame, &req); err != nil {
-					resp.Status = "bad-request"
-				} else {
-					resp = s.handle(req)
-				}
-				out, err := json.Marshal(resp)
-				if err != nil {
-					return
-				}
-				if err := conn.Send(out); err != nil {
-					return
-				}
-			}
-		}()
+// serve answers one JSON request, then serves the next; a response
+// that fails to marshal closes the conn.
+func (s *Server) serve(_ ids.DeviceID, frame []byte) ([]byte, netsim.ServeStep) {
+	var req request
+	resp := response{Status: "ok"}
+	if err := json.Unmarshal(frame, &req); err != nil {
+		resp.Status = "bad-request"
+	} else {
+		resp = s.handle(req)
 	}
+	out, err := json.Marshal(resp)
+	if err != nil {
+		return nil, nil
+	}
+	return out, s.serve
 }
 
 // pad returns filler bytes so the serialized response weighs about n
