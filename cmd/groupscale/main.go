@@ -240,8 +240,8 @@ func main() {
 		fmt.Println("service, so its steady round stays bounded at every offered load.")
 		fmt.Println()
 		if *desFlag {
-			fmt.Println("(-des: offered sessions run as event-native cascades on the")
-			fmt.Println("discrete-event engine; the observer stays the blocking client.)")
+			fmt.Println("(-des: offered sessions and the servers run as event chains on")
+			fmt.Println("the discrete-event engine; the observer stays the blocking client.)")
 			fmt.Println()
 		}
 		points, err := harness.RunOverload(harness.OverloadConfig{Devices: counts, Engine: harness.Engine{DES: *desFlag, Workers: *workers}})

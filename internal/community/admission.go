@@ -1,12 +1,9 @@
 package community
 
 import (
-	"context"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ids"
-	"repro/internal/netsim"
 )
 
 // ServerOptions tunes the server's behavior under overload. The zero
@@ -15,8 +12,8 @@ import (
 // experiments shrink the limits explicitly.
 type ServerOptions struct {
 	// MaxSessions bounds the concurrent serving sessions (default 1024).
-	// Serving goroutines are started on demand and exit when idle, so a
-	// generous bound costs nothing in a quiet neighborhood.
+	// Sessions are served on demand and hold nothing once they end, so
+	// a generous bound costs nothing in a quiet neighborhood.
 	MaxSessions int
 	// QueueDepth bounds the admission queue holding accepted sessions
 	// that wait for a free serving slot (default 256). A session arriving
@@ -55,7 +52,7 @@ func (o ServerOptions) withDefaults() ServerOptions {
 // experiments can see load being shed explicitly instead of latency
 // growing without bound.
 type ServerStats struct {
-	// Admitted counts sessions handed to a serving worker.
+	// Admitted counts sessions handed to a serving slot.
 	Admitted uint64
 	// Queued counts sessions that waited in the admission queue before
 	// being served.
@@ -69,7 +66,8 @@ type ServerStats struct {
 	// Served counts requests dispatched to a Table 6 handler.
 	Served uint64
 	// SlowWriters counts sessions aborted because a response write
-	// exceeded WriteTimeout — the peer stopped reading.
+	// exceeded WriteTimeout — the peer stopped reading (on the DES, at
+	// once when a response finds the in-flight window full).
 	SlowWriters uint64
 	// QueueDepthMax is the admission queue's high-water mark.
 	QueueDepthMax uint64
@@ -89,36 +87,17 @@ func (s *ServerStats) Add(o ServerStats) {
 	}
 }
 
-type serverCounters struct {
-	admitted      atomic.Uint64
-	queued        atomic.Uint64
-	shed          atomic.Uint64
-	rateLimited   atomic.Uint64
-	served        atomic.Uint64
-	slowWriters   atomic.Uint64
-	queueDepthMax atomic.Uint64
-}
-
-func (c *serverCounters) observeDepth(depth uint64) {
-	for {
-		cur := c.queueDepthMax.Load()
-		if depth <= cur || c.queueDepthMax.CompareAndSwap(cur, depth) {
-			return
-		}
-	}
-}
-
-// Stats returns a snapshot of the server's admission counters.
+// Stats returns a snapshot of the server's admission counters: the
+// serving path's admission counts beside the server's own.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Admitted:      s.counters.admitted.Load(),
-		Queued:        s.counters.queued.Load(),
-		Shed:          s.counters.shed.Load(),
-		RateLimited:   s.counters.rateLimited.Load(),
-		Served:        s.counters.served.Load(),
-		SlowWriters:   s.counters.slowWriters.Load(),
-		QueueDepthMax: s.counters.queueDepthMax.Load(),
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := ServerStats{RateLimited: s.rateLimited.Load(), Served: s.served.Load()}
+	if s.svc != nil {
+		a := s.svc.Stats()
+		st.Admitted, st.Queued, st.Shed, st.SlowWriters, st.QueueDepthMax = a.Admitted, a.Queued, a.Shed, a.SlowWriters, a.QueueDepthMax
 	}
+	return st
 }
 
 // opWeight prices one request against the per-peer budget. Pings are
@@ -169,83 +148,4 @@ func (s *Server) allowRequest(remote ids.DeviceID, weight float64) bool {
 	}
 	b.tokens -= weight
 	return true
-}
-
-// admit routes one accepted session: straight to a worker while slots
-// are free, into the bounded queue while they are not, and to the shed
-// path when even the queue is full. Admission never blocks the accept
-// loop and never spawns an unbounded goroutine.
-func (s *Server) admit(ctx context.Context, conn *netsim.Conn) {
-	s.admMu.Lock()
-	if s.active < s.opts.MaxSessions {
-		s.active++
-		s.admMu.Unlock()
-		s.counters.admitted.Add(1)
-		s.wg.Add(1)
-		go s.worker(ctx, conn)
-		return
-	}
-	if len(s.backlog) < s.opts.QueueDepth {
-		s.backlog = append(s.backlog, conn)
-		depth := uint64(len(s.backlog))
-		s.admMu.Unlock()
-		s.counters.queued.Add(1)
-		s.counters.observeDepth(depth)
-		return
-	}
-	s.admMu.Unlock()
-	s.shed(conn)
-}
-
-// worker serves its session, then keeps draining the backlog until it
-// is empty — so idle servers hold zero serving goroutines and loaded
-// ones hold at most MaxSessions.
-func (s *Server) worker(ctx context.Context, conn *netsim.Conn) {
-	defer s.wg.Done()
-	for {
-		s.serveConn(ctx, conn)
-		s.admMu.Lock()
-		if ctx.Err() != nil || len(s.backlog) == 0 {
-			s.active--
-			s.admMu.Unlock()
-			return
-		}
-		conn = s.backlog[0]
-		s.backlog[0] = nil
-		s.backlog = s.backlog[1:]
-		s.admMu.Unlock()
-		s.counters.admitted.Add(1)
-	}
-}
-
-// shed rejects one session with an explicit BUSY frame. Delivery goes
-// through a single shedder goroutine so a pathological peer (or a
-// stalled outbound pump) can never wedge the accept loop; when the
-// shedder itself is saturated the session is dropped without the
-// courtesy frame — the client sees a reset and backs off anyway.
-func (s *Server) shed(conn *netsim.Conn) {
-	s.counters.shed.Add(1)
-	select {
-	case s.shedQ <- conn:
-	default:
-		conn.Abort()
-	}
-}
-
-// shedder delivers BUSY frames for shed sessions, one at a time.
-func (s *Server) shedder(ctx context.Context) {
-	defer s.wg.Done()
-	busy := MarshalResponse(Response{Status: StatusBusy})
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case conn := <-s.shedQ:
-			// The session is fresh, so its transmit queue is empty and
-			// Send cannot block; Close's flush is bounded by the conn's
-			// own flush timeout.
-			_ = conn.Send(busy)
-			_ = conn.Close()
-		}
-	}
 }

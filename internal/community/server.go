@@ -1,12 +1,11 @@
 package community
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -20,11 +19,12 @@ import (
 // Server is the application server every PTD runs (§5.2.3.1): it
 // registers the PeerHoodCommunity service into the PeerHood daemon,
 // stays in the listening state, and answers the requests of Table 6
-// against the device's profile store. Admission is bounded: sessions
-// beyond MaxSessions wait in a fixed queue, sessions beyond that are
-// shed with an explicit BUSY frame, and per-peer token buckets throttle
-// request floods — overload degrades into visible rejections, never
-// into unbounded goroutines or silent hangs.
+// against the device's profile store. Admission is bounded by netsim's
+// serving path (ServeLimit): sessions beyond MaxSessions wait in a
+// fixed queue, sessions beyond that are shed with an explicit BUSY
+// frame, and per-peer token buckets throttle request floods — overload
+// degrades into visible rejections, never into unbounded goroutines or
+// silent hangs.
 type Server struct {
 	lib   *peerhood.Library
 	store *profile.Store
@@ -33,21 +33,13 @@ type Server struct {
 
 	mu      sync.Mutex
 	content map[contentKey][]byte
-
-	admMu   sync.Mutex
-	active  int
-	backlog []*netsim.Conn
-	shedQ   chan *netsim.Conn
+	svc     *netsim.Service
+	started bool
 
 	rlMu    sync.Mutex
 	buckets map[ids.DeviceID]*peerBucket
 
-	counters serverCounters
-
-	listener *netsim.Listener
-	cancel   context.CancelFunc
-	wg       sync.WaitGroup
-	started  bool
+	served, rateLimited atomic.Uint64
 }
 
 type contentKey struct {
@@ -66,46 +58,39 @@ func NewServerWith(lib *peerhood.Library, store *profile.Store, opts ServerOptio
 	if lib == nil || store == nil {
 		return nil, fmt.Errorf("community: server needs a library and a store")
 	}
-	o := opts.withDefaults()
 	return &Server{
 		lib:     lib,
 		store:   store,
 		env:     lib.Daemon().Network().Environment(),
-		opts:    o,
+		opts:    opts.withDefaults(),
 		content: make(map[contentKey][]byte),
-		shedQ:   make(chan *netsim.Conn, o.QueueDepth),
 		buckets: make(map[ids.DeviceID]*peerBucket),
 	}, nil
 }
 
-// Options returns the server's effective admission limits.
-func (s *Server) Options() ServerOptions { return s.opts }
-
 // Start registers the service (Figure 8) and begins serving.
 func (s *Server) Start() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.started {
-		s.mu.Unlock()
 		return fmt.Errorf("community: server already started")
 	}
-	s.started = true
-	s.mu.Unlock()
-
 	listener, err := s.lib.RegisterService(ServiceName, map[string]string{"app": "community"})
 	if err != nil {
 		return fmt.Errorf("community: registering service: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.listener = listener
-	s.cancel = cancel
-	s.wg.Add(2)
-	go s.acceptLoop(ctx)
-	go s.shedder(ctx)
+	s.started = true
+	s.svc = listener.ServeLimit(s.serve, netsim.Limit{
+		Sessions:     s.opts.MaxSessions,
+		Queue:        s.opts.QueueDepth,
+		Busy:         MarshalResponse(Response{Status: StatusBusy}),
+		WriteTimeout: s.opts.WriteTimeout,
+	})
 	return nil
 }
 
-// Stop unregisters the service and stops serving. Sessions still
-// waiting for a worker or a BUSY frame are aborted — a stopping server
+// Stop unregisters the service and stops serving (netsim.Service.Stop):
+// sessions still waiting in the queue are aborted — a stopping server
 // owes nobody a flush.
 func (s *Server) Stop() {
 	s.mu.Lock()
@@ -115,86 +100,30 @@ func (s *Server) Stop() {
 	if !started {
 		return
 	}
-	s.cancel()
 	s.lib.UnregisterService(ServiceName)
-	s.wg.Wait()
-	s.admMu.Lock()
-	backlog := s.backlog
-	s.backlog = nil
-	s.admMu.Unlock()
-	for _, conn := range backlog {
-		conn.Abort()
-	}
-	for {
-		select {
-		case conn := <-s.shedQ:
-			conn.Abort()
-		default:
-			return
-		}
-	}
+	s.svc.Stop()
 }
 
-func (s *Server) acceptLoop(ctx context.Context) {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept(ctx)
-		if err != nil {
-			return
-		}
-		s.admit(ctx, conn)
+// serve answers one request, a frame that does not decode with
+// BAD_REQUEST, and serves the next.
+func (s *Server) serve(remote ids.DeviceID, frame []byte) ([]byte, netsim.ServeStep) {
+	req, err := UnmarshalRequest(frame)
+	if err != nil {
+		return MarshalResponse(Response{Status: StatusBadRequest, Fields: []string{err.Error()}}), s.serve
 	}
-}
-
-// serveConn answers requests on one connection until it dies. Response
-// frames are marshaled into one pooled buffer reused across the whole
-// session: Conn.Send copies the payload, so the buffer is free again
-// the moment Send returns. Writes carry a modeled-clock deadline, so a
-// peer that sends requests but never reads answers costs one aborted
-// session instead of a wedged worker.
-func (s *Server) serveConn(ctx context.Context, conn *netsim.Conn) {
-	buf := getFrameBuf()
-	defer putFrameBuf(buf)
-	remote := conn.Remote()
-	for {
-		frame, err := conn.Recv(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				conn.Abort() // shutdown: don't wait out a flush on a dying world
-			} else {
-				_ = conn.Close() // peer is done; flush what it hasn't read yet
-			}
-			return
-		}
-		req, err := UnmarshalRequest(frame)
-		var resp Response
-		if err != nil {
-			resp = Response{Status: StatusBadRequest, Fields: []string{err.Error()}}
-		} else {
-			resp = s.HandleFrom(remote, req)
-		}
-		*buf = AppendResponse((*buf)[:0], resp)
-		deadline := s.env.Clock().After(s.env.Scale().ToReal(s.opts.WriteTimeout))
-		if err := conn.SendDeadline(*buf, deadline); err != nil {
-			if errors.Is(err, netsim.ErrSendTimeout) {
-				s.counters.slowWriters.Add(1)
-			}
-			conn.Abort()
-			return
-		}
-	}
+	return MarshalResponse(s.HandleFrom(remote, req)), s.serve
 }
 
 // HandleFrom dispatches one request attributed to a remote peer,
 // applying the per-peer rate limit before the Table 6 handlers. The
-// network path calls it with conn.Remote(); benchmarks call it directly
-// to price the serve and shed fast paths without a transport.
+// serving step calls it with the dialing device; benchmarks call it
+// directly to price the serve and shed fast paths without a transport.
 func (s *Server) HandleFrom(remote ids.DeviceID, req Request) Response {
 	if !s.allowRequest(remote, opWeight(req.Op)) {
-		s.counters.rateLimited.Add(1)
+		s.rateLimited.Add(1)
 		return Response{Status: StatusBusy}
 	}
-	s.counters.served.Add(1)
+	s.served.Add(1)
 	return s.Handle(req)
 }
 

@@ -944,10 +944,3 @@ func (n *Node) Holding() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Round count for drivers.
-func (n *Node) RoundCount() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.round
-}

@@ -105,12 +105,6 @@ func (c DeltaScaleConfig) withDefaults() DeltaScaleConfig {
 	return c
 }
 
-// RunDeltaScale measures cold-vs-steady group rounds at each neighbor
-// count on the goroutine engine; RunDeltaScaleConfig is the full form.
-func RunDeltaScale(scale vtime.Scale, deviceCounts []int) ([]DeltaScalePoint, error) {
-	return RunDeltaScaleConfig(DeltaScaleConfig{Scale: scale}, deviceCounts)
-}
-
 // RunDeltaScaleConfig measures cold-vs-steady group rounds at each
 // neighbor count. Peers stand on a tight grid inside one Bluetooth
 // cell with overlapping multi-term profiles; only the active peer

@@ -252,6 +252,13 @@ func (c *Conn) CloseEvent(ctx *des.Ctx) {
 	c.desCloseFlush(ctx, 0)
 }
 
+// abortEvent is Abort for event callers: CloseEvent without the flush.
+func (c *Conn) abortEvent(ctx *des.Ctx) {
+	if c.released.CompareAndSwap(false, true) {
+		c.desCloseFlush(ctx, desCloseRetries)
+	}
+}
+
 // desCloseFlush reschedules itself while this end's sent messages are
 // still in flight, then tears the pair down and drops the user hold
 // carried through the chain.

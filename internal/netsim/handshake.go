@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/des"
 	"repro/internal/ids"
@@ -148,12 +150,42 @@ func (c *Conn) exchangeEvent(ctx *des.Ctx, frame []byte, step Step, done func(*d
 	})
 }
 
+// Limit bounds a service's admission (ServeLimit), decided as each
+// conn is accepted: a conn is served while fewer than Sessions are,
+// waits in a FIFO queue of at most Queue conns (accepted, not yet read)
+// while they are not, and is otherwise shed: sent Busy unprompted and
+// closed. A reply to a peer that stopped reading aborts its conn after
+// WriteTimeout of modeled time on the goroutine engine; an event cannot
+// wait, so on the event engine as soon as it finds the window full.
+type Limit struct {
+	Sessions     int
+	Queue        int
+	Busy         []byte
+	WriteTimeout time.Duration
+}
+
+// ServiceStats counts a service's admission decisions: conns handed to
+// a session (on accept or from the queue), conns that waited in the
+// queue, conns shed, sessions aborted because the peer stopped reading
+// replies, and the queue's high-water mark.
+type ServiceStats struct {
+	Admitted, Queued, Shed, SlowWriters, QueueDepthMax uint64
+}
+
 // Service serves handshakes on one listener; Stop ends it.
 type Service struct {
 	lis    *Listener
 	first  ServeStep
+	lim    *Limit // nil serves every conn at once
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+	busy   chan struct{} // goroutine engine: a slot per Busy frame in flight
+
+	mu      sync.Mutex // guards the rest
+	active  int        // sessions being served
+	queue   []*Conn
+	stopped bool
+	stats   ServiceStats
 }
 
 // Serve serves every conn dialed to l from first; do not Accept on l
@@ -162,27 +194,111 @@ type Service struct {
 // completion or, for a blocking Dial, inside an event on the listener
 // device's home, and no goroutine exists. On the goroutine engine an
 // accept loop serves each conn on a goroutine of its own.
-func (l *Listener) Serve(first ServeStep) *Service {
-	s := &Service{lis: l, first: first}
-	if l.net.sched != nil {
-		l.AcceptEvent(func(ctx *des.Ctx, c *Conn) { c.serveEvent(ctx, first) })
-		return s
+func (l *Listener) Serve(first ServeStep) *Service { return l.serve(first, nil) }
+
+// ServeLimit is Serve with admission bounded by lim. On the
+// discrete-event engine admission is decided in an event on the
+// listener device's home, scheduled from the handoff, so it follows
+// arrival order whatever the shard and worker counts.
+func (l *Listener) ServeLimit(first ServeStep, lim Limit) *Service { return l.serve(first, &lim) }
+
+func (l *Listener) serve(first ServeStep, lim *Limit) *Service {
+	s := &Service{lis: l, first: first, lim: lim, cancel: func() {}}
+	switch {
+	case l.net.sched == nil:
+		ctx, cancel := context.WithCancel(context.Background())
+		s.cancel = cancel
+		if lim != nil {
+			s.busy = make(chan struct{}, lim.Queue)
+		}
+		s.wg.Add(1)
+		go s.acceptLoop(ctx)
+	case lim == nil:
+		l.AcceptEvent(func(ctx *des.Ctx, c *Conn) {
+			s.admit(c) // unbounded: always served, only counted
+			s.serveEvent(ctx, c, first)
+		})
+	default:
+		l.AcceptEvent(func(ctx *des.Ctx, c *Conn) {
+			ctx.At(0, c.local.home, func(ctx *des.Ctx) {
+				if serve, shed := s.admit(c); serve {
+					s.serveEvent(ctx, c, first)
+				} else if shed {
+					_ = c.SendEvent(ctx, lim.Busy)
+					c.CloseEvent(ctx)
+				}
+			})
+		})
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s.cancel = cancel
-	s.wg.Add(1)
-	go s.acceptLoop(ctx)
 	return s
 }
 
-// Stop closes the listener, cancels in-flight serving and waits for
-// every serving goroutine.
+// Stop closes the listener and aborts the conns still queued. On the
+// goroutine engine it also aborts the conns being served and waits for
+// every serving goroutine; on the discrete-event engine a conn being
+// served ends when its peer or the network closes it.
 func (s *Service) Stop() {
-	if s.cancel != nil {
-		s.cancel()
-	}
+	s.mu.Lock()
+	s.stopped = true
+	queued := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	s.cancel()
 	s.lis.Close()
 	s.wg.Wait()
+	for _, c := range queued {
+		c.Abort()
+	}
+}
+
+// Stats returns a snapshot of the service's admission counts.
+func (s *Service) Stats() ServiceStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// admit decides an accepted conn's admission: served while a session is
+// free, queued while the queue has room and Stop has not run, else shed.
+func (s *Service) admit(c *Conn) (serve, shed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.lim == nil || s.active < s.lim.Sessions:
+		s.active++
+		s.stats.Admitted++
+		return true, false
+	case len(s.queue) < s.lim.Queue && !s.stopped:
+		s.queue = append(s.queue, c)
+		s.stats.Queued++
+		s.stats.QueueDepthMax = max(s.stats.QueueDepthMax, uint64(len(s.queue)))
+		return false, false
+	}
+	s.stats.Shed++
+	return false, true
+}
+
+// next ends a session and returns the queued conn that takes its
+// place, or nil.
+func (s *Service) next() *Conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.queue) == 0 {
+		s.active--
+		return nil
+	}
+	c := s.queue[0]
+	s.queue[0] = nil
+	s.queue = s.queue[1:]
+	s.stats.Admitted++
+	return c
+}
+
+// slowWriter counts a session aborted because its peer stopped reading.
+func (s *Service) slowWriter() {
+	s.mu.Lock()
+	s.stats.SlowWriters++
+	s.mu.Unlock()
 }
 
 func (s *Service) acceptLoop(ctx context.Context) {
@@ -192,44 +308,109 @@ func (s *Service) acceptLoop(ctx context.Context) {
 		if err != nil {
 			return
 		}
-		s.wg.Add(1)
-		go s.serve(ctx, c)
+		if serve, shed := s.admit(c); serve {
+			s.wg.Add(1)
+			go s.session(ctx, c)
+		} else if shed {
+			s.shed(c)
+		}
 	}
 }
 
-// serve is the goroutine engine's serving side of one conn.
-func (s *Service) serve(ctx context.Context, c *Conn) {
+// session serves c, then each queued conn that takes its place: an idle
+// service holds no serving goroutine, a loaded one at most Sessions.
+func (s *Service) session(ctx context.Context, c *Conn) {
 	defer s.wg.Done()
-	defer func() { _ = c.Close() }()
+	for ; c != nil; c = s.next() {
+		s.serve(ctx, c)
+	}
+}
+
+// serve is the goroutine engine's serving side of one conn. Close
+// flushes the last reply; a failed reply aborts the conn instead, and
+// so does Stop, which owes nobody a flush.
+func (s *Service) serve(ctx context.Context, c *Conn) {
 	for step := s.first; step != nil; {
 		req, err := c.Recv(ctx)
 		if err != nil {
-			return
+			if ctx.Err() != nil {
+				c.Abort()
+				return
+			}
+			break
 		}
 		var reply []byte
-		if reply, step = step(c.Remote(), req); reply == nil || c.Send(reply) != nil {
+		if reply, step = step(c.Remote(), req); reply == nil {
+			break
+		}
+		var deadline <-chan time.Time
+		if env := s.lis.net.env; s.lim != nil && s.lim.WriteTimeout > 0 {
+			deadline = env.Clock().After(env.Scale().ToReal(s.lim.WriteTimeout))
+		}
+		if err := c.SendDeadline(reply, deadline); err != nil {
+			if errors.Is(err, ErrSendTimeout) {
+				s.slowWriter()
+			}
+			c.Abort()
 			return
 		}
+	}
+	_ = c.Close()
+}
+
+// shed sends Busy to a conn turned away and closes it, on a goroutine
+// of its own so the accept loop never waits on the flush; the conn is
+// fresh, so Send cannot block. With Queue Busy frames in flight, the
+// conn is aborted without one.
+func (s *Service) shed(c *Conn) {
+	select {
+	case s.busy <- struct{}{}:
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			_ = c.Send(s.lim.Busy)
+			_ = c.Close()
+			<-s.busy
+		}()
+	default:
+		c.Abort()
 	}
 }
 
 // serveEvent is the event engine's serving side of one conn, from the
 // step that takes the next request.
-func (c *Conn) serveEvent(ctx *des.Ctx, step ServeStep) {
+func (s *Service) serveEvent(ctx *des.Ctx, c *Conn, step ServeStep) {
 	c.RecvEvent(ctx, func(ctx *des.Ctx, req []byte, err error) {
 		if err != nil {
-			c.CloseEvent(ctx)
+			s.endEvent(ctx, c)
 			return
 		}
 		reply, next := step(c.Remote(), req)
-		if reply == nil || c.SendEvent(ctx, reply) != nil {
-			c.CloseEvent(ctx)
+		if reply == nil {
+			s.endEvent(ctx, c)
+			return
+		}
+		if err := c.SendEvent(ctx, reply); err != nil {
+			if errors.Is(err, ErrSendTimeout) {
+				s.slowWriter()
+				c.abortEvent(ctx)
+			}
+			s.endEvent(ctx, c)
 			return
 		}
 		if next == nil {
-			c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, _ error) { c.CloseEvent(ctx) })
+			c.RecvEvent(ctx, func(ctx *des.Ctx, _ []byte, _ error) { s.endEvent(ctx, c) })
 			return
 		}
-		c.serveEvent(ctx, next)
+		s.serveEvent(ctx, c, next)
 	})
+}
+
+// endEvent closes a served conn and serves the queued conn that takes
+// its session.
+func (s *Service) endEvent(ctx *des.Ctx, c *Conn) {
+	c.CloseEvent(ctx)
+	if next := s.next(); next != nil {
+		s.serveEvent(ctx, next, s.first)
+	}
 }

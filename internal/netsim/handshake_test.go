@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -499,5 +500,206 @@ func TestHandshakeServeReachesEveryDialer(t *testing.T) {
 	}
 	if event.counters != goro.counters {
 		t.Errorf("counters: event engine %+v, goroutine engine %+v", event.counters, goro.counters)
+	}
+}
+
+// limitWorld is hsWorld with a clock that moves on the goroutine engine
+// too, at the test scale, so a modeled WriteTimeout fires there.
+func limitWorld(t *testing.T, useDES bool) (*Network, *des.Scheduler) {
+	t.Helper()
+	if useDES {
+		return hsWorld(t, true)
+	}
+	env, net := fastWorld(t)
+	addStatic(t, env, "hs-a", geo.Pt(0, 0), radio.Bluetooth)
+	addStatic(t, env, "hs-b", geo.Pt(3, 0), radio.Bluetooth)
+	return net, nil
+}
+
+// runServeLimit serves an echo chain with one session and a queue of
+// one to blocking clients from hs-a, checking each step of
+// TestHandshakeServeLimitAdmitsQueuesAndSheds.
+func runServeLimit(t *testing.T, useDES bool) {
+	net, sched := limitWorld(t, useDES)
+	base := -1
+	if sched != nil {
+		sched.Start()
+		t.Cleanup(sched.Stop)
+		// Once the runner has popped a timer, its worker pool is up.
+		sched.Clock().Sleep(time.Millisecond)
+		base = runtime.NumGoroutine()
+	}
+	tracker := newPairTracker(net)
+	var serving atomic.Int64 // goroutines alive while the first step runs
+	serving.Store(-1)
+	var echo ServeStep
+	echo = func(_ ids.DeviceID, req []byte) ([]byte, ServeStep) {
+		tracker.see()
+		serving.CompareAndSwap(-1, int64(runtime.NumGoroutine()))
+		return append([]byte("r:"), req...), echo
+	}
+	lis, err := net.Listen("hs-b", "hs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := lis.ServeLimit(echo, Limit{Sessions: 1, Queue: 1, Busy: []byte("busy"), WriteTimeout: time.Minute})
+	// A conn that never hears back fails the test instead of hanging it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	dial := func() *Conn {
+		t.Helper()
+		c, err := net.Dial(ctx, "hs-a", "hs-b", radio.Bluetooth, "hs")
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		tracker.see()
+		return c
+	}
+	recv := func(c *Conn, want string) {
+		t.Helper()
+		if reply, err := c.Recv(ctx); err != nil || string(reply) != want {
+			t.Fatalf("got %q, err %v; want %q", reply, err, want)
+		}
+	}
+	send := func(c *Conn, q string) {
+		t.Helper()
+		if err := c.Send([]byte(q)); err != nil {
+			t.Fatalf("send %s: %v", q, err)
+		}
+	}
+	waitStats := func(what string, cond func(ServiceStats) bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(svc.Stats()); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: stats %+v", what, svc.Stats())
+			}
+		}
+	}
+
+	first := dial()
+	send(first, "one")
+	recv(first, "r:one")
+	second := dial()
+	waitStats("the second conn was never queued", func(st ServiceStats) bool { return st.Queued == 1 })
+	third := dial()
+	recv(third, "busy")
+	if reply, err := third.Recv(ctx); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("shed conn read %q, err %v after the busy frame; want it closed", reply, err)
+	}
+	_ = third.Close()
+	// The queued conn's request waits until the first conn closes.
+	send(second, "two")
+	_ = first.Close()
+	recv(second, "r:two")
+	if st, want := svc.Stats(), (ServiceStats{Admitted: 2, Queued: 1, Shed: 1, QueueDepthMax: 1}); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	_ = second.Close()
+
+	// A peer that sends requests and never reads the replies costs one
+	// slow writer, and its session is free again.
+	mute := dial()
+	for i := 0; i < 4*sendQueueLen; i++ {
+		if mute.Send([]byte("flood")) != nil {
+			break
+		}
+	}
+	waitStats("the never-reading peer was never aborted", func(st ServiceStats) bool { return st.SlowWriters == 1 })
+	mute.Abort()
+	after := dial()
+	send(after, "after")
+	recv(after, "r:after")
+	_ = after.Close()
+	if st, want := svc.Stats(), (ServiceStats{Admitted: 4, Queued: 1, Shed: 1, SlowWriters: 1, QueueDepthMax: 1}); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	svc.Stop()
+	tracker.checkReleased(t)
+	if sched != nil {
+		if added := serving.Load() - int64(base); added != 0 {
+			t.Errorf("serving a conn ran %d goroutines beyond the scheduler's, want none", added)
+		}
+	}
+}
+
+// TestHandshakeServeLimitAdmitsQueuesAndSheds serves one session with a
+// queue of one on both engines: the first conn is answered; the second
+// counts as queued before it sends anything and is answered once the
+// first closes; the third reads the busy frame without sending and then
+// finds its conn closed; a peer that never reads its replies counts one
+// slow writer and frees its session; every conn pair ends released;
+// and on the DES serving runs no goroutine of its own.
+func TestHandshakeServeLimitAdmitsQueuesAndSheds(t *testing.T) {
+	t.Run("goroutine", func(t *testing.T) { runServeLimit(t, false) })
+	t.Run("des", func(t *testing.T) { runServeLimit(t, true) })
+}
+
+// TestHandshakeServeLimitSeedExactOnDES: 24 event dialers on distinct
+// homes dial a service with 3 sessions and a queue of 5 at one instant.
+// Admission is decided in events on the listener device's home, so
+// every dialer's outcome, the stats and the trace hash are the same at
+// any shard and worker count.
+func TestHandshakeServeLimitSeedExactOnDES(t *testing.T) {
+	type result struct {
+		outcomes []string
+		stats    ServiceStats
+		hash     uint64
+	}
+	const dialers = 24
+	run := func(shards, workers int) result {
+		sched := des.NewScheduler(1, shards)
+		sched.SetWorkers(workers)
+		env := radio.NewEnvironment(radio.WithScale(vtime.DefaultScale()), radio.WithClock(sched.Clock()))
+		addStatic(t, env, "hs-b", geo.Pt(0, 0), radio.Bluetooth)
+		net := NewDES(env, 1, sched)
+		defer net.Close()
+		lis, err := net.Listen("hs-b", "hs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		echo := func(_ ids.DeviceID, req []byte) ([]byte, ServeStep) { return append([]byte("r:"), req...), nil }
+		svc := lis.ServeLimit(echo, Limit{Sessions: 3, Queue: 5, Busy: []byte("busy")})
+		outcomes := make([]string, dialers)
+		for i := range outcomes {
+			dev := ids.DeviceIDf("hs-d%02d", i)
+			addStatic(t, env, dev, geo.Pt(float64(1+i%6), float64(i/6)), radio.Bluetooth)
+			h := Handshake{To: "hs-b", Open: []byte(dev), Step: func(reply []byte, err error) ([]byte, Step) {
+				outcomes[i] = fmt.Sprintf("%s: %q at %d ns, err %v", dev, reply, sched.NowNS(), err)
+				return nil, nil
+			}}
+			sched.At(0, DeviceHome(dev), func(ctx *des.Ctx) {
+				net.RoundEvent(ctx, dev, radio.Bluetooth, "hs", one(h), func(*des.Ctx) {})
+			})
+		}
+		sched.Run()
+		svc.Stop()
+		return result{outcomes, svc.Stats(), sched.TraceHash()}
+	}
+	ref := run(1, 1)
+	answered, busy := 0, 0
+	for _, o := range ref.outcomes {
+		switch {
+		case strings.Contains(o, `"r:hs-d`):
+			answered++
+		case strings.Contains(o, `"busy"`):
+			busy++
+		}
+	}
+	if answered != 8 || busy != 16 {
+		t.Errorf("%d answered and %d shed, want 8 and 16: %q", answered, busy, ref.outcomes)
+	}
+	if want := (ServiceStats{Admitted: 8, Queued: 5, Shed: 16, QueueDepthMax: 5}); ref.stats != want {
+		t.Errorf("stats %+v, want %+v", ref.stats, want)
+	}
+	for _, shards := range []int{1, 4, 16} {
+		for _, workers := range []int{1, 4} {
+			got := run(shards, workers)
+			if !reflect.DeepEqual(got.outcomes, ref.outcomes) {
+				t.Errorf("%d shards, %d workers: outcomes\n%q\nwant\n%q", shards, workers, got.outcomes, ref.outcomes)
+			}
+			if got.stats != ref.stats || got.hash != ref.hash {
+				t.Errorf("%d shards, %d workers: stats %+v hash %#x, want %+v %#x", shards, workers, got.stats, got.hash, ref.stats, ref.hash)
+			}
+		}
 	}
 }

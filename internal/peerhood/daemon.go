@@ -34,7 +34,6 @@ const (
 
 // Sentinel errors.
 var (
-	ErrNotRunning        = errors.New("peerhood: daemon not running")
 	ErrAlreadyRunning    = errors.New("peerhood: daemon already running")
 	ErrUnknownNeighbor   = errors.New("peerhood: device not in neighborhood")
 	ErrServiceRegistered = errors.New("peerhood: service already registered")

@@ -17,12 +17,9 @@ import (
 
 // Sentinel errors returned by the environment.
 var (
-	ErrUnknownDevice  = errors.New("radio: unknown device")
-	ErrDuplicateID    = errors.New("radio: duplicate device id")
-	ErrInvalidID      = errors.New("radio: invalid device id")
-	ErrNoSuchRadio    = errors.New("radio: device has no radio for technology")
-	ErrDevicePowered  = errors.New("radio: device is powered off")
-	ErrNoGPRSCoverage = errors.New("radio: device has no cellular coverage")
+	ErrUnknownDevice = errors.New("radio: unknown device")
+	ErrDuplicateID   = errors.New("radio: duplicate device id")
+	ErrInvalidID     = errors.New("radio: invalid device id")
 )
 
 // Environment is the simulated world: devices, their radios and their

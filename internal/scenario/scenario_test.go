@@ -234,11 +234,13 @@ func TestWithPHYOverride(t *testing.T) {
 }
 
 // TestDESDeploymentAtRestRunsTwoGoroutinesPerPeer: after Build and
-// RefreshAll, a DES deployment runs two goroutines per peer, the
-// community server's accept loop and shedder; the daemon's SDP server
-// is served as events. The growth is read as a slope between two
-// deployment sizes, so the scheduler's worker pool, which GOMAXPROCS
-// sizes, cancels out.
+// RefreshAll, a DES deployment runs no goroutine per peer: the daemon's
+// SDP server and the community server are both served as events. The
+// name is historical; it dates from when the community server still
+// ran an accept loop and a shedder per peer, and CI and the recorded
+// test lists select the test by it. The growth is read as a slope
+// between two deployment sizes, so the scheduler's worker pool, which
+// GOMAXPROCS sizes, cancels out.
 func TestDESDeploymentAtRestRunsTwoGoroutinesPerPeer(t *testing.T) {
 	atRest := func(peers int) int {
 		b := fastBuilder().WithDES(0)
@@ -272,7 +274,7 @@ func TestDESDeploymentAtRestRunsTwoGoroutinesPerPeer(t *testing.T) {
 	}
 	small, large := atRest(16), atRest(64)
 	t.Logf("%d goroutines at rest with 16 peers, %d with 64", small, large)
-	if got, want := large-small, 2*(64-16); got != want {
-		t.Errorf("goroutines grew by %d from 16 to 64 peers (%d to %d), want %d: two per peer", got, small, large, want)
+	if got := large - small; got != 0 {
+		t.Errorf("goroutines grew by %d from 16 to 64 peers (%d to %d), want none", got, small, large)
 	}
 }
