@@ -352,8 +352,11 @@ func (c *Client) call(ctx context.Context, dev ids.DeviceID, req Request) (Respo
 		c.recordOutcome(br, err)
 		return Response{}, err
 	}
+	// The chart names are built only when a recorder is attached.
 	rec := c.recorder()
-	rec.Record(c.name(), serverName(dev), req.Op)
+	if rec != nil {
+		rec.Record(c.name(), serverName(dev), req.Op)
+	}
 	// Marshal into a pooled buffer: the transport copies the payload on
 	// send, so the buffer is reusable as soon as the exchange returns
 	// (the hedged path copies it up front for its own legs).
@@ -385,13 +388,17 @@ func (c *Client) call(ctx context.Context, dev ids.DeviceID, req Request) (Respo
 		if br != nil {
 			br.Record(true)
 		}
-		rec.Record(serverName(dev), c.name(), resp.Status)
+		if rec != nil {
+			rec.Record(serverName(dev), c.name(), resp.Status)
+		}
 		return Response{}, fmt.Errorf("%w: %s refused %s", ErrPeerBusy, dev, req.Op)
 	}
 	if br != nil {
 		br.Record(true)
 	}
-	rec.Record(serverName(dev), c.name(), resp.Status)
+	if rec != nil {
+		rec.Record(serverName(dev), c.name(), resp.Status)
+	}
 	return resp, nil
 }
 
@@ -971,8 +978,9 @@ func (c *Client) RefreshGroups(ctx context.Context) ([]core.Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec := c.recorder()
-	rec.Record(c.name(), c.name(), "dynamic group discovery")
+	if rec := c.recorder(); rec != nil {
+		rec.Record(c.name(), c.name(), "dynamic group discovery")
+	}
 	return mgr.Update(nearby), nil
 }
 

@@ -202,7 +202,7 @@ func TestNeverReadingPeerFreesWorker(t *testing.T) {
 	// buffers; the server's write deadline must fire.
 	req := MarshalRequest(Request{Op: OpPing})
 	for i := 0; i < 5000 && srv.server.Stats().SlowWriters == 0; i++ {
-		err := wedge.SendDeadline(req, w.env.Clock().After(w.env.Scale().ToReal(time.Minute)))
+		err := wedge.SendDeadline(req, time.Minute)
 		if err != nil && !errors.Is(err, netsim.ErrSendTimeout) {
 			break // server aborted the session — that's the mechanism working
 		}

@@ -2,6 +2,7 @@ package des
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vtime"
@@ -20,10 +21,14 @@ type desClock struct {
 	s *Scheduler
 }
 
-// timerHome spreads timer events across shards without any caller
-// input: each timer's home is a mix of its sequence draw.
-func (s *Scheduler) timerHome(seq uint64) uint64 {
-	return splitmix64(seq ^ 0x7465722d686f6d65) // "ter-home"
+// timer schedules a clock wake after d: an event whose release runs
+// when it pops and, for a wake still queued, at Stop. Its home is a mix
+// of its sequence draw, which spreads timers across shards without any
+// caller input.
+func (s *Scheduler) timer(d time.Duration, release func()) {
+	seq := s.extSeq.Add(1)
+	home := splitmix64(seq ^ 0x7465722d686f6d65) // "ter-home"
+	s.schedule(d, home, seq, seq, nil, release)
 }
 
 // Now implements vtime.Clock on the virtual instant.
@@ -36,9 +41,7 @@ func (c desClock) Sleep(d time.Duration) {
 		return
 	}
 	done := make(chan struct{})
-	seq := c.s.extSeq.Add(1)
-	release := func() { close(done) }
-	c.s.schedule(d, c.s.timerHome(seq), seq, seq, nil, release)
+	c.s.timer(d, func() { close(done) })
 	<-done
 }
 
@@ -51,15 +54,28 @@ func (c desClock) After(d time.Duration) <-chan time.Time {
 		ch <- c.s.Now()
 		return ch
 	}
-	seq := c.s.extSeq.Add(1)
-	release := func() {
+	c.s.timer(d, func() {
 		select {
 		case ch <- c.s.Now():
 		default:
 		}
-	}
-	c.s.schedule(d, c.s.timerHome(seq), seq, seq, nil, release)
+	})
 	return ch
+}
+
+// AfterFunc implements vtime.Clock: f runs inside the wake event After
+// would schedule, on the run loop or a pool worker while the scheduler
+// runs, so it must not block. The heap has no removal, so stop turns
+// the event into a no-op that still pops at the deadline. Stop runs
+// every callback not yet stopped, as it releases every parked sleeper.
+func (c desClock) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	var done atomic.Bool
+	c.s.timer(d, func() {
+		if done.CompareAndSwap(false, true) {
+			f()
+		}
+	})
+	return func() bool { return done.CompareAndSwap(false, true) }
 }
 
 // SleepCtx is Sleep with cancellation: it returns ctx.Err immediately
@@ -71,14 +87,12 @@ func (s *Scheduler) SleepCtx(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	}
 	done := make(chan struct{}, 1)
-	seq := s.extSeq.Add(1)
-	release := func() {
+	s.timer(d, func() {
 		select {
 		case done <- struct{}{}:
 		default:
 		}
-	}
-	s.schedule(d, s.timerHome(seq), seq, seq, nil, release)
+	})
 	select {
 	case <-done:
 		return nil

@@ -132,7 +132,8 @@ type shard struct {
 // chasing two pointers. The key (at, tie, home, seq) is the execution
 // order and the trace; fn runs at virtual instant at. release, when
 // set, marks a clock wake (timer fire) that Stop must still deliver so
-// no goroutine stays parked on a dead scheduler.
+// no goroutine stays parked on a dead scheduler and no AfterFunc
+// callback is lost.
 type event struct {
 	at   int64
 	tie  uint64
@@ -146,8 +147,8 @@ type event struct {
 	// child index is added — and stays out of the trace hash.
 	lin uint64
 	fn  func(ctx *Ctx)
-	// release unblocks the event's waiter without running fn; nil for
-	// ordinary events.
+	// release wakes the event's waiter or runs its AfterFunc callback,
+	// without running fn; nil for ordinary events.
 	release func()
 }
 
@@ -662,8 +663,9 @@ func (s *Scheduler) runBatch(batch []event, pan *panicCell) {
 }
 
 // drainReleases pops every queued event and runs the release hooks
-// (clock wakes) so no goroutine stays parked on a stopped scheduler;
-// ordinary event closures are dropped unrun.
+// (clock wakes and AfterFunc callbacks not yet stopped) so no goroutine
+// stays parked on a stopped scheduler; ordinary event closures are
+// dropped unrun.
 func (s *Scheduler) drainReleases() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -284,6 +284,48 @@ func TestStopReleasesParkedSleepers(t *testing.T) {
 	}
 }
 
+// TestAfterFuncRunsInsideScheduler: an AfterFunc callback is the wake
+// event itself. Arming it starts no goroutine, it runs inside Run at
+// its virtual instant, and Stop runs the callbacks still queued that
+// nobody stopped.
+func TestAfterFuncRunsInsideScheduler(t *testing.T) {
+	s := NewScheduler(1, 4)
+	s.SetWorkers(1) // no pool: Run executes every event on this goroutine
+	clock := s.Clock()
+	base := runtime.NumGoroutine()
+	var at time.Duration
+	inside := 0
+	clock.AfterFunc(time.Hour, func() {
+		at = s.Now().Sub(s.base)
+		inside = runtime.NumGoroutine()
+	})
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("arming AfterFunc started %d goroutines, want none", n-base)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("%d events pending after arming, want the one wake event", s.Pending())
+	}
+	s.Run()
+	if at != time.Hour || s.EventsExecuted() != 1 {
+		t.Fatalf("f ran at virtual +%v after %d events, want +1h as the one event", at, s.EventsExecuted())
+	}
+	if inside > base {
+		t.Errorf("f ran beside %d goroutines the scheduler started, want none", inside-base)
+	}
+
+	var kept, dropped atomic.Bool
+	clock.AfterFunc(time.Hour, func() { kept.Store(true) })
+	stop := clock.AfterFunc(time.Hour, func() { dropped.Store(true) })
+	stop()
+	s.Stop()
+	if !kept.Load() {
+		t.Error("Stop dropped a callback nobody stopped")
+	}
+	if dropped.Load() {
+		t.Error("Stop ran a stopped callback")
+	}
+}
+
 // TestStartStopIdempotent: double Start and double Stop are safe, and
 // a stopped scheduler stays stopped.
 func TestStartStopIdempotent(t *testing.T) {

@@ -74,7 +74,8 @@ func (s *Scheduler) Start() {
 
 // Stop halts the runner, waits for it to exit, and fires the release
 // hook of every still-queued clock wake so no goroutine stays parked
-// on a dead scheduler. Ordinary events are discarded. Stop the
+// on a dead scheduler: sleepers wake, After channels fire and AfterFunc
+// callbacks not yet stopped run. Ordinary events are discarded. Stop the
 // deployment (which unblocks its goroutines through conn teardown)
 // before stopping its scheduler.
 func (s *Scheduler) Stop() {

@@ -201,17 +201,19 @@ func (c *Conn) Port() string { return c.port }
 // Send enqueues a message for in-order delivery to the peer. It blocks
 // only if the transmit queue is full.
 func (c *Conn) Send(payload []byte) error {
-	return c.send(payload, nil, nil)
+	return c.send(payload, 0, nil)
 }
 
 // SendDeadline is Send with a deadline on queue admission: when the
-// transmit queue is still full as the deadline channel fires — the
+// transmit queue is still full after timeout of modeled time — the
 // signature of a peer that has stopped reading — it gives up with
-// ErrSendTimeout instead of blocking the caller forever. Servers pass a
-// modeled-clock timer here so one stalled reader cannot wedge a
-// serving goroutine.
-func (c *Conn) SendDeadline(payload []byte, deadline <-chan time.Time) error {
-	return c.send(payload, deadline, nil)
+// ErrSendTimeout instead of blocking the caller forever. Servers pass
+// their write timeout here so one stalled reader cannot wedge a
+// serving goroutine. The timer is armed only when the send has to wait
+// for queue room, so a send that finds room costs no timer; a timeout
+// <= 0 waits like Send.
+func (c *Conn) SendDeadline(payload []byte, timeout time.Duration) error {
+	return c.send(payload, timeout, nil)
 }
 
 // SendCancel is Send with a cancellation channel on queue admission:
@@ -219,14 +221,14 @@ func (c *Conn) SendDeadline(payload []byte, deadline <-chan time.Time) error {
 // Pipelines use it so a peer that stops reading cannot park a relay
 // goroutine past its bridge's lifetime.
 func (c *Conn) SendCancel(payload []byte, cancel <-chan struct{}) error {
-	return c.send(payload, nil, cancel)
+	return c.send(payload, 0, cancel)
 }
 
-func (c *Conn) send(payload []byte, deadline <-chan time.Time, cancel <-chan struct{}) error {
+func (c *Conn) send(payload []byte, timeout time.Duration, cancel <-chan struct{}) error {
 	c.ops.Add(1)
 	defer c.ops.Add(-1)
 	if c.des != nil {
-		return c.desSend(payload, deadline, cancel)
+		return c.desSend(payload, timeout, cancel)
 	}
 	msg := make([]byte, len(payload))
 	copy(msg, payload)
@@ -245,25 +247,54 @@ func (c *Conn) send(payload []byte, deadline <-chan time.Time, cancel <-chan str
 	c.mu.Unlock()
 	select {
 	case c.sendQ <- msg:
-		// The pump drains its queue once, as it exits on close. A send
-		// that raced the close can land after that drain; it releases
-		// what it left behind itself, or Close's flush would wait on it.
-		select {
-		case <-c.closed:
-			c.drainSendQ()
-		default:
-		}
-		return nil
+		return c.queued()
+	default:
+	}
+	expired, stop := c.sendTimer(timeout)
+	defer stop()
+	select {
+	case c.sendQ <- msg:
+		return c.queued()
 	case <-c.closed:
 		c.pending.Done()
 		return c.errOrClosed()
-	case <-deadline:
+	case <-expired:
 		c.pending.Done()
 		return ErrSendTimeout
 	case <-cancel:
 		c.pending.Done()
 		return ErrSendTimeout
 	}
+}
+
+// queued finishes a send whose message entered the transmit queue. The
+// pump drains its queue once, as it exits on close. A send that raced
+// the close can land after that drain; it releases what it left behind
+// itself, or Close's flush would wait on it.
+func (c *Conn) queued() error {
+	select {
+	case <-c.closed:
+		c.drainSendQ()
+	default:
+	}
+	return nil
+}
+
+// sendTimer arms a send's deadline once the send has to wait for queue
+// room: expired closes after timeout of modeled time, and stop disarms
+// it. A timeout <= 0 arms nothing and never expires; one too short to
+// survive the latency scale has expired already.
+func (c *Conn) sendTimer(timeout time.Duration) (expired <-chan struct{}, stop func() bool) {
+	if timeout <= 0 {
+		return nil, func() bool { return false }
+	}
+	ch := make(chan struct{})
+	wait := c.net.env.Scale().ToReal(timeout)
+	if wait <= 0 {
+		close(ch)
+		return ch, func() bool { return false }
+	}
+	return ch, c.net.env.Clock().AfterFunc(wait, func() { close(ch) })
 }
 
 // Recv returns the next message in order, blocking until one arrives,
@@ -363,10 +394,12 @@ func (c *Conn) waitFlush(d time.Duration) {
 		close(done)
 		c.unref()
 	}()
+	//phvet:ignore walltime Close's flush bound is a real-time safety valve: it must fire even when a manual vtime clock is paused, or a peer that stops reading would hang Close forever.
+	bound := time.NewTimer(d)
+	defer bound.Stop() // under go 1.22 timer rules an unstopped timer lives until it fires
 	select {
 	case <-done:
-	//phvet:ignore walltime Close's flush bound is a real-time safety valve: it must fire even when a manual vtime clock is paused, or a peer that stops reading would hang Close forever.
-	case <-time.After(d):
+	case <-bound.C:
 	}
 }
 

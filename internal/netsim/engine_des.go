@@ -231,7 +231,7 @@ func (d *node) claimAir(tech radio.Technology, ready int64, busy time.Duration) 
 // desSend is the event engine's Send/SendDeadline: admission against
 // the in-flight semaphore, an immediate fate draw, and one delivery
 // event at the instant the modeled transfer completes.
-func (c *Conn) desSend(payload []byte, deadline <-chan time.Time, cancel <-chan struct{}) error {
+func (c *Conn) desSend(payload []byte, timeout time.Duration, cancel <-chan struct{}) error {
 	sched := c.net.sched
 	sched.Bump()
 	msg := make([]byte, len(payload))
@@ -250,17 +250,19 @@ func (c *Conn) desSend(payload []byte, deadline <-chan time.Time, cancel <-chan 
 	c.mu.Unlock()
 
 	// Admission: the fast path takes a free slot without parking; the
-	// slow path parks until delivery frees one, the conn dies, or the
-	// deadline fires — the same outcomes a full sendQ gives the
-	// goroutine engine.
+	// slow path arms the deadline and parks until delivery frees one,
+	// the conn dies, or the deadline fires — the same outcomes a full
+	// sendQ gives the goroutine engine.
 	select {
 	case c.des.slots <- struct{}{}:
 	default:
+		expired, stop := c.sendTimer(timeout)
+		defer stop()
 		select {
 		case c.des.slots <- struct{}{}:
 		case <-c.closed:
 			return c.errOrClosed()
-		case <-deadline:
+		case <-expired:
 			return ErrSendTimeout
 		case <-cancel:
 			return ErrSendTimeout

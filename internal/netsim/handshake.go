@@ -343,11 +343,11 @@ func (s *Service) serve(ctx context.Context, c *Conn) {
 		if reply, step = step(c.Remote(), req); reply == nil {
 			break
 		}
-		var deadline <-chan time.Time
-		if env := s.lis.net.env; s.lim != nil && s.lim.WriteTimeout > 0 {
-			deadline = env.Clock().After(env.Scale().ToReal(s.lim.WriteTimeout))
+		var timeout time.Duration
+		if s.lim != nil {
+			timeout = s.lim.WriteTimeout
 		}
-		if err := c.SendDeadline(reply, deadline); err != nil {
+		if err := c.SendDeadline(reply, timeout); err != nil {
 			if errors.Is(err, ErrSendTimeout) {
 				s.slowWriter()
 			}

@@ -634,6 +634,51 @@ func TestHandshakeServeLimitAdmitsQueuesAndSheds(t *testing.T) {
 	t.Run("des", func(t *testing.T) { runServeLimit(t, true) })
 }
 
+// TestHandshakeServeLimitRepliesArmNoTimer: a bounded service's reply
+// arms its write timeout only when it has to wait for queue room, so 40
+// request/replies on one conn to a peer that reads them leave the
+// clock's pending timers where the link sweeper left them. On hsWorld's
+// manual clock at 1e-12 the 24 h write timeout is 86 ns: a real timer,
+// which never fires.
+func TestHandshakeServeLimitRepliesArmNoTimer(t *testing.T) {
+	net, _ := hsWorld(t, false)
+	clk := net.env.Clock().(*vtime.Manual)
+	var echo ServeStep
+	echo = func(_ ids.DeviceID, req []byte) ([]byte, ServeStep) { return append([]byte("r:"), req...), echo }
+	lis, err := net.Listen("hs-b", "hs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := lis.ServeLimit(echo, Limit{Sessions: 1, Queue: 1, Busy: []byte("busy"), WriteTimeout: 24 * time.Hour})
+	defer svc.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := net.Dial(ctx, "hs-a", "hs-b", radio.Bluetooth, "hs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Abort()
+	// The dial started the link sweeper; let it park on its timer.
+	for deadline := time.Now().Add(5 * time.Second); clk.Waiters() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the link sweeper never parked on the clock")
+		}
+	}
+	before := clk.Waiters()
+	for i := 0; i < 40; i++ {
+		q := fmt.Sprintf("q%d", i)
+		if err := c.Send([]byte(q)); err != nil {
+			t.Fatalf("send %s: %v", q, err)
+		}
+		if reply, err := c.Recv(ctx); err != nil || string(reply) != "r:"+q {
+			t.Fatalf("got %q, err %v; want %q", reply, err, "r:"+q)
+		}
+	}
+	if after := clk.Waiters(); after != before {
+		t.Errorf("40 replies took the clock from %d pending timers to %d, want no change", before, after)
+	}
+}
+
 // TestHandshakeServeLimitSeedExactOnDES: 24 event dialers on distinct
 // homes dial a service with 3 sessions and a queue of 5 at one instant.
 // Admission is decided in events on the listener device's home, so

@@ -200,25 +200,21 @@ func (r *RobustConn) backoffDelay(retry int) time.Duration {
 	return half + jitter
 }
 
-// deadlineContext derives the per-operation context. The deadline runs
-// on the environment's clock (so manual clocks drive it in tests) and
-// cancels with ErrCallTimeout as the cause.
+// deadlineContext derives the per-operation context. The deadline is a
+// callback on the environment's clock (so manual clocks drive it in
+// tests, and on the discrete-event clock it is an event with no
+// goroutine parked on it) that cancels with ErrCallTimeout as the
+// cause; the release function stops it, so a call that ends in time
+// leaves no timer behind.
 func (r *RobustConn) deadlineContext(ctx context.Context) (context.Context, func()) {
 	if r.opts.CallTimeout <= 0 {
 		return ctx, func() {}
 	}
 	env := r.daemon.cfg.Network.Environment()
 	octx, cancel := context.WithCancelCause(ctx)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-env.Clock().After(realTimeout(env, r.opts.CallTimeout)):
-			cancel(ErrCallTimeout)
-		case <-done:
-		}
-	}()
+	stop := env.Clock().AfterFunc(realTimeout(env, r.opts.CallTimeout), func() { cancel(ErrCallTimeout) })
 	return octx, func() {
-		close(done)
+		stop()
 		cancel(context.Canceled)
 	}
 }

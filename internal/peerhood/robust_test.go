@@ -13,6 +13,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/netsim"
 	"repro/internal/radio"
+	"repro/internal/vtime"
 )
 
 // echoService runs a trivial request/response server on a daemon: for
@@ -202,6 +203,50 @@ func TestRobustConcurrentCallsStayPaired(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// A call that ends in time leaves no timer behind: its deadline is a
+// clock callback the call's end stops, not a goroutine parked on a
+// timer until the timer fires. The world runs on a manual clock that
+// never advances, at a scale that rounds every modeled delay to zero,
+// so nothing sleeps and the clock's pending timers are the link
+// sweeper's and whatever the calls leave.
+func TestRobustCallLeavesNoTimer(t *testing.T) {
+	clk := vtime.NewManual(time.Unix(0, 0))
+	env := radio.NewEnvironment(radio.WithScale(vtime.NewScale(1e-12)), radio.WithClock(clk))
+	w := &world{env: env, net: netsim.New(env, 1)}
+	t.Cleanup(w.net.Close)
+	w.addStatic(t, "a", geo.Pt(0, 0), radio.Bluetooth)
+	w.addStatic(t, "b", geo.Pt(5, 0), radio.Bluetooth)
+	da := w.daemon(t, "a")
+	echoService(t, w.daemon(t, "b"), "echo")
+	ctx := testCtx(t)
+	rc, err := da.ConnectRobust(ctx, "b", "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	// The dial started the link sweeper; let it park on its timer.
+	for deadline := time.Now().Add(5 * time.Second); clk.Waiters() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the link sweeper never parked on the clock")
+		}
+	}
+	before := clk.Waiters()
+	for i := 0; i < 50; i++ {
+		req := fmt.Sprintf("call-%d", i)
+		if resp, err := rc.Call(ctx, []byte(req)); err != nil || string(resp) != "ok:"+req {
+			t.Fatalf("call %d: got %q, err %v", i, resp, err)
+		}
+	}
+	// A goroutine a call started could arm its timer after the call
+	// returned: give any such goroutine time to run before counting.
+	for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline) && clk.Waiters() == before; {
+		time.Sleep(time.Millisecond)
+	}
+	if after := clk.Waiters(); after != before {
+		t.Errorf("50 calls took the clock from %d pending timers to %d, want no change", before, after)
 	}
 }
 

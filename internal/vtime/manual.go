@@ -13,8 +13,9 @@ type Manual struct {
 	mu      sync.Mutex
 	now     time.Time
 	waiters waiterHeap
-	// seq numbers After registrations; equal-deadline waiters fire in
-	// registration order instead of unstable heap order (see Less).
+	// seq numbers After and AfterFunc registrations; equal-deadline
+	// waiters fire in registration order instead of unstable heap order
+	// (see Less).
 	seq uint64
 }
 
@@ -41,15 +42,42 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	deadline := m.now.Add(d)
 	if d <= 0 {
 		//phvet:ignore lockguard ch is freshly made with capacity 1 and gets exactly this one send; it cannot block.
 		ch <- m.now
 		return ch
 	}
-	m.seq++
-	heap.Push(&m.waiters, &waiter{deadline: deadline, seq: m.seq, ch: ch})
+	m.push(d, &waiter{fire: func(now time.Time) { ch <- now }})
 	return ch
+}
+
+// AfterFunc implements Clock: f waits in the same heap as After's
+// timers, counts in Waiters, and runs in the Advance that passes its
+// deadline, in deadline-then-registration order with them, after
+// Advance has dropped the clock's lock (so f may use the clock). With
+// d <= 0 it runs in the next Advance, Advance(0) included. stop takes
+// the waiter out of the heap.
+func (m *Manual) AfterFunc(d time.Duration, f func()) (stop func() bool) {
+	w := &waiter{fire: func(time.Time) { f() }}
+	m.mu.Lock()
+	m.push(max(d, 0), w)
+	m.mu.Unlock()
+	return func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if w.index < 0 {
+			return false
+		}
+		heap.Remove(&m.waiters, w.index)
+		return true
+	}
+}
+
+// push arms w for d from now. Callers hold m.mu.
+func (m *Manual) push(d time.Duration, w *waiter) {
+	m.seq++
+	w.deadline, w.seq = m.now.Add(d), m.seq
+	heap.Push(&m.waiters, w)
 }
 
 // Waiters reports how many timers are currently pending. Tests use it
@@ -62,22 +90,29 @@ func (m *Manual) Waiters() int {
 }
 
 // Advance moves the clock forward and fires every timer whose deadline
-// has passed, in deadline order.
+// has passed, in deadline order. The timers fire after the lock is
+// dropped: an After channel has capacity 1 and gets exactly one send,
+// and an AfterFunc callback may call back into the clock.
 func (m *Manual) Advance(d time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.now = m.now.Add(d)
-	for len(m.waiters) > 0 && !m.waiters[0].deadline.After(m.now) {
-		w := heap.Pop(&m.waiters).(*waiter)
-		//phvet:ignore lockguard every waiter channel has capacity 1 and receives exactly one send; it cannot block.
-		w.ch <- m.now
+	now := m.now
+	var due []*waiter
+	for len(m.waiters) > 0 && !m.waiters[0].deadline.After(now) {
+		due = append(due, heap.Pop(&m.waiters).(*waiter))
+	}
+	m.mu.Unlock()
+	for _, w := range due {
+		w.fire(now)
 	}
 }
 
+// waiter is one pending After or AfterFunc; fire delivers it.
 type waiter struct {
 	deadline time.Time
 	seq      uint64
-	ch       chan time.Time
+	index    int // position in the heap; -1 once popped or removed
+	fire     func(now time.Time)
 }
 
 type waiterHeap []*waiter
@@ -95,13 +130,21 @@ func (h waiterHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h waiterHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x any)   { *h = append(*h, x.(*waiter)) }
+func (h waiterHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *waiterHeap) Push(x any) {
+	w := x.(*waiter)
+	w.index = len(*h)
+	*h = append(*h, w)
+}
 func (h *waiterHeap) Pop() any {
 	old := *h
 	n := len(old)
 	w := old[n-1]
 	old[n-1] = nil
+	w.index = -1
 	*h = old[:n-1]
 	return w
 }

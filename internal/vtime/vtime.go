@@ -16,6 +16,13 @@ import (
 )
 
 // Clock abstracts time so tests can substitute a controllable source.
+//
+// A timeout that usually does not fire belongs on AfterFunc, not on
+// After. The module is built under go 1.22 timer rules, where a
+// time.After timer nobody receives from stays in the runtime's timer
+// heap until it fires, so a per-operation After leaves one live timer
+// per operation for the whole timeout; a goroutine parked on it costs
+// a goroutine as well. AfterFunc's stop removes the timer at once.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -23,6 +30,13 @@ type Clock interface {
 	Sleep(d time.Duration)
 	// After returns a channel that delivers the time after d.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc runs f once, after d, never on the caller's stack: the
+	// real clock runs it on a goroutine of its own, a Manual clock in
+	// the Advance that passes the deadline, the discrete-event clock
+	// inside the scheduler, where f must not block. With d <= 0, f is
+	// due at once. stop cancels the call and reports whether it did;
+	// once the timer has fired it reports false.
+	AfterFunc(d time.Duration, f func()) (stop func() bool)
 }
 
 // Real returns a Clock backed by the system clock.
@@ -33,6 +47,9 @@ type realClock struct{}
 func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) AfterFunc(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(d, f).Stop
+}
 
 // Scale converts modeled durations to real durations. A Scale of 0.001
 // runs one modeled second in one real millisecond. The zero value is not
