@@ -13,6 +13,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/interest"
 	"repro/internal/msc"
+	"repro/internal/netsim"
 	"repro/internal/peerhood"
 	"repro/internal/profile"
 )
@@ -43,6 +44,14 @@ type MemberInfo struct {
 // PeerHoodCommunity servers of all nearby devices, fans requests out
 // "simultaneously" as the MSCs show, aggregates the answers, and keeps
 // the local dynamic-group view updated.
+//
+// The client holds plans, steps and state only: each call, fan-out,
+// hedge and singleflight join is written once in continuation style
+// over a netsim.Flow, and the sequencer runs it with blocking calls on
+// the goroutine engine and as events on the DES. Each blocking call or
+// fan-out of the public API is one flow (netsim.Await): on the DES one
+// cascade on the client device's home that the caller awaits, so never
+// call the API from inside an event.
 type Client struct {
 	lib   *peerhood.Library
 	store *profile.Store
@@ -53,7 +62,7 @@ type Client struct {
 	conns    map[ids.DeviceID]*peerhood.RobustConn
 	resolved map[ids.MemberID]ids.DeviceID
 	cache    map[ids.DeviceID]*peerCache
-	inflight map[flightKey]*flightCall
+	inflight map[flightKey]*netsim.Completion[Response]
 	rec      *msc.Recorder
 	resil    *resilience
 	closed   bool
@@ -86,13 +95,6 @@ type flightKey struct {
 	dev  ids.DeviceID
 	op   string
 	args string
-}
-
-// flightCall is the shared result of one collapsed exchange.
-type flightCall struct {
-	done chan struct{}
-	resp Response
-	err  error
 }
 
 // ClientStats counts the client's transport experience, so experiments
@@ -213,7 +215,7 @@ func NewClient(lib *peerhood.Library, store *profile.Store, sem *interest.Semant
 		conns:    make(map[ids.DeviceID]*peerhood.RobustConn),
 		resolved: make(map[ids.MemberID]ids.DeviceID),
 		cache:    make(map[ids.DeviceID]*peerCache),
-		inflight: make(map[flightKey]*flightCall),
+		inflight: make(map[flightKey]*netsim.Completion[Response]),
 	}
 	return c, nil
 }
@@ -275,35 +277,49 @@ func (c *Client) activeMember() (ids.MemberID, error) {
 	return m, nil
 }
 
-// conn returns a cached robust connection to a device's community
-// server, dialing on first use.
-func (c *Client) conn(ctx context.Context, dev ids.DeviceID) (*peerhood.RobustConn, error) {
+// await runs op as one flow of the client's device (netsim.Await).
+func await[T any](c *Client, ctx context.Context, op func(f netsim.Flow, done func(netsim.Flow, T, error))) (T, error) {
+	return netsim.Await(c.lib.Daemon().Network(), ctx, c.lib.Device(), op)
+}
+
+// session hands then the cached robust connection to a device's
+// community server, dialing it on first use.
+func (c *Client) session(f netsim.Flow, dev ids.DeviceID, then func(netsim.Flow, *peerhood.RobustConn, error)) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClientClosed
+		then(f, nil, ErrClientClosed)
+		return
 	}
 	if rc, ok := c.conns[dev]; ok {
 		c.mu.Unlock()
-		return rc, nil
+		then(f, rc, nil)
+		return
 	}
 	c.mu.Unlock()
-	rc, err := c.lib.ConnectRobust(ctx, dev, ServiceName)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		rc.Close()
-		return nil, ErrClientClosed
-	}
-	if existing, ok := c.conns[dev]; ok {
-		rc.Close()
-		return existing, nil
-	}
-	c.conns[dev] = rc
-	return rc, nil
+	c.lib.Daemon().DialRobust(f, dev, ServiceName, peerhood.DefaultRobustOptions(), func(f netsim.Flow, rc *peerhood.RobustConn, err error) {
+		if err != nil {
+			then(f, nil, err)
+			return
+		}
+		c.mu.Lock()
+		existing, ok := c.conns[dev]
+		closed := c.closed
+		if !ok && !closed {
+			c.conns[dev] = rc
+		}
+		c.mu.Unlock()
+		switch {
+		case closed:
+			rc.Abort(f)
+			then(f, nil, ErrClientClosed)
+		case ok:
+			rc.Abort(f)
+			then(f, existing, nil)
+		default:
+			then(f, rc, nil)
+		}
+	})
 }
 
 // dropConn forgets a dead connection and invalidates the device's
@@ -333,42 +349,60 @@ func (c *Client) cacheEntry(dev ids.DeviceID) *peerCache {
 	return pc
 }
 
-// call performs one request/response with a device, recording the MSC
-// arrows. It is where the client's degradation machinery lives: the
-// peer's circuit breaker gates the attempt, explicit BUSY answers are
-// surfaced as backpressure (and never count against the peer's
-// health), and everything else feeds the breaker's health score.
+// call is callIn for a blocking caller: one flow.
 func (c *Client) call(ctx context.Context, dev ids.DeviceID, req Request) (Response, error) {
+	return await(c, ctx, func(f netsim.Flow, done func(netsim.Flow, Response, error)) {
+		c.callIn(f, dev, req, done)
+	})
+}
+
+// callIn performs one request/response with a device in flow f,
+// recording the MSC arrows. It is where the client's degradation
+// machinery lives: the peer's circuit breaker gates the attempt,
+// explicit BUSY answers are surfaced as backpressure (and never count
+// against the peer's health), and everything else feeds the breaker's
+// health score.
+func (c *Client) callIn(f netsim.Flow, dev ids.DeviceID, req Request, then func(netsim.Flow, Response, error)) {
 	c.counters.callsAttempted.Add(1)
 	br := c.breakerFor(dev)
 	if br != nil && !br.Allow() {
 		c.counters.breakerSkips.Add(1)
 		c.counters.callsFailed.Add(1)
-		return Response{}, fmt.Errorf("%w: %s", ErrPeerCircuitOpen, dev)
+		then(f, Response{}, fmt.Errorf("%w: %s", ErrPeerCircuitOpen, dev))
+		return
 	}
-	rc, err := c.conn(ctx, dev)
-	if err != nil {
-		c.counters.callsFailed.Add(1)
-		c.recordOutcome(br, err)
-		return Response{}, err
-	}
-	// The chart names are built only when a recorder is attached.
-	rec := c.recorder()
-	if rec != nil {
-		rec.Record(c.name(), serverName(dev), req.Op)
-	}
-	// Marshal into a pooled buffer: the transport copies the payload on
-	// send, so the buffer is reusable as soon as the exchange returns
-	// (the hedged path copies it up front for its own legs).
-	buf := getFrameBuf()
-	*buf = AppendRequest(*buf, req)
-	raw, err := c.exchange(ctx, dev, rc, *buf, req.Op)
-	putFrameBuf(buf)
+	c.session(f, dev, func(f netsim.Flow, rc *peerhood.RobustConn, err error) {
+		if err != nil {
+			c.counters.callsFailed.Add(1)
+			c.recordOutcome(br, err)
+			then(f, Response{}, err)
+			return
+		}
+		// The chart names are built only when a recorder is attached.
+		rec := c.recorder()
+		if rec != nil {
+			rec.Record(c.name(), serverName(dev), req.Op)
+		}
+		// Marshal into a pooled buffer: the transport copies the payload
+		// on send, so the buffer is reusable as soon as the exchange ends
+		// (a hedge copies it up front for its legs).
+		buf := getFrameBuf()
+		*buf = AppendRequest(*buf, req)
+		c.exchange(f, dev, rc, *buf, req.Op, func(f netsim.Flow, raw []byte, err error) {
+			putFrameBuf(buf)
+			resp, err := c.answer(dev, br, rec, req.Op, raw, err)
+			then(f, resp, err)
+		})
+	})
+}
+
+// answer turns one exchange's outcome into callIn's result.
+func (c *Client) answer(dev ids.DeviceID, br *peerhood.Breaker, rec *msc.Recorder, op string, raw []byte, err error) (Response, error) {
 	if err != nil {
 		c.dropConn(dev)
 		c.counters.callsFailed.Add(1)
 		c.recordOutcome(br, err)
-		return Response{}, fmt.Errorf("community: calling %s on %s: %w", req.Op, dev, err)
+		return Response{}, fmt.Errorf("community: calling %s on %s: %w", op, dev, err)
 	}
 	resp, err := UnmarshalResponse(raw)
 	if err != nil {
@@ -378,26 +412,19 @@ func (c *Client) call(ctx context.Context, dev ids.DeviceID, req Request) (Respo
 		c.recordOutcome(br, err)
 		return Response{}, err
 	}
-	if resp.Status == StatusBusy {
-		// Explicit shedding: the peer is alive and chose not to serve
-		// us. Health-wise that is a success — tripping the breaker on
-		// BUSY would turn graceful degradation into self-inflicted
-		// partition.
-		c.counters.busyRejected.Add(1)
-		c.counters.callsFailed.Add(1)
-		if br != nil {
-			br.Record(true)
-		}
-		if rec != nil {
-			rec.Record(serverName(dev), c.name(), resp.Status)
-		}
-		return Response{}, fmt.Errorf("%w: %s refused %s", ErrPeerBusy, dev, req.Op)
-	}
 	if br != nil {
+		// Explicit shedding counts as health too: the peer is alive and
+		// chose not to serve us, and tripping the breaker on BUSY would
+		// turn graceful degradation into self-inflicted partition.
 		br.Record(true)
 	}
 	if rec != nil {
 		rec.Record(serverName(dev), c.name(), resp.Status)
+	}
+	if resp.Status == StatusBusy {
+		c.counters.busyRejected.Add(1)
+		c.counters.callsFailed.Add(1)
+		return Response{}, fmt.Errorf("%w: %s refused %s", ErrPeerBusy, dev, op)
 	}
 	return resp, nil
 }
@@ -430,73 +457,43 @@ func singleflightable(op string) bool {
 }
 
 // callShared performs one request/response, collapsing identical
-// concurrent read requests to the same device into a single exchange.
-// The lock is never held across the call itself; late arrivals wait on
-// the leader's done channel.
-func (c *Client) callShared(ctx context.Context, dev ids.DeviceID, req Request) (Response, error) {
+// concurrent read requests to the same device into a single exchange:
+// late arrivals join the leader's completion.
+func (c *Client) callShared(f netsim.Flow, dev ids.DeviceID, req Request, then func(netsim.Flow, Response, error)) {
 	if !singleflightable(req.Op) {
-		return c.call(ctx, dev, req)
+		c.callIn(f, dev, req, then)
+		return
 	}
 	key := flightKey{dev: dev, op: req.Op, args: strings.Join(req.Args, "\x1f")}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return Response{}, ErrClientClosed
+		then(f, Response{}, ErrClientClosed)
+		return
 	}
-	if fc, ok := c.inflight[key]; ok {
+	if flight, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
 		c.counters.singleflightHits.Add(1)
-		<-fc.done
-		return fc.resp, fc.err
+		flight.Then(f, then)
+		return
 	}
-	fc := &flightCall{done: make(chan struct{})}
-	c.inflight[key] = fc
+	flight := new(netsim.Completion[Response])
+	c.inflight[key] = flight
 	c.mu.Unlock()
-	fc.resp, fc.err = c.call(ctx, dev, req)
-	c.mu.Lock()
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	close(fc.done)
-	return fc.resp, fc.err
+	c.callIn(f, dev, req, func(f netsim.Flow, resp Response, err error) {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		flight.Set(f, resp, err)
+		then(f, resp, err)
+	})
 }
 
 // fanoutWorkers bounds how many calls one fan-out keeps in flight. The
 // thesis's client asks "simultaneously", but at substrate scale an
-// unbounded goroutine-per-device round is its own denial of service;
-// a fixed pool keeps rounds cheap without changing observable order.
+// unbounded round is its own denial of service; a fixed width keeps
+// rounds cheap without changing observable order.
 const fanoutWorkers = 16
-
-// runBounded executes fn(0..n-1) on at most fanoutWorkers goroutines,
-// returning when all are done. Indices are handed out atomically, so
-// callers index result slices and keep deterministic output order.
-func (c *Client) runBounded(n int, fn func(int)) {
-	workers := fanoutWorkers
-	if n < workers {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // deviceResponse pairs a device with its answer.
 type deviceResponse struct {
@@ -513,24 +510,34 @@ func (c *Client) fanout(ctx context.Context, req Request) []deviceResponse {
 }
 
 // fanoutBy is fanout with a per-device request builder, so conditional
-// reads can quote each device's cached epoch. Answers come back sorted
-// by device: DevicesOffering returns devices sorted and results are
-// written by index, regardless of worker scheduling.
+// reads can quote each device's cached epoch. It is one flow with up to
+// fanoutWorkers calls in flight (netsim.Flow.Fanout). Answers come back
+// sorted by device: DevicesOffering returns devices sorted and results
+// are written by index, whatever order the calls end in.
 func (c *Client) fanoutBy(ctx context.Context, build func(ids.DeviceID) Request) []deviceResponse {
-	c.counters.fanoutsRun.Add(1)
-	devices := c.lib.DevicesOffering(ServiceName)
-	out := make([]deviceResponse, len(devices))
-	c.runBounded(len(devices), func(i int) {
-		dev := devices[i]
-		resp, err := c.callShared(ctx, dev, build(dev))
-		out[i] = deviceResponse{Device: dev, Response: resp, Err: err}
+	out, _ := await(c, ctx, func(f netsim.Flow, done func(netsim.Flow, []deviceResponse, error)) {
+		c.counters.fanoutsRun.Add(1)
+		devices := c.lib.DevicesOffering(ServiceName)
+		out := make([]deviceResponse, len(devices))
+		f.Fanout(len(devices), fanoutWorkers, func(f netsim.Flow, i int, next func(netsim.Flow)) {
+			dev := devices[i]
+			c.callShared(f, dev, build(dev), func(f netsim.Flow, resp Response, err error) {
+				out[i] = deviceResponse{Device: dev, Response: resp, Err: err}
+				next(f)
+			})
+		}, func(f netsim.Flow) {
+			for _, dr := range out {
+				if dr.Err != nil {
+					// Partial neighborhood: some device failed to answer (or
+					// its circuit was open) and the operation proceeds
+					// without it.
+					c.counters.fanoutsDegraded.Add(1)
+					break
+				}
+			}
+			done(f, out, nil)
+		})
 	})
-	for _, dr := range out {
-		if dr.Err != nil {
-			c.counters.fanoutsDegraded.Add(1)
-			break
-		}
-	}
 	return out
 }
 
@@ -850,13 +857,12 @@ func (c *Client) SendMessage(ctx context.Context, to ids.MemberID, subject, body
 	return c.store.RecordSent(sender, profile.Message{From: sender, To: to, Subject: subject, Body: body})
 }
 
-// memberSummary fetches one device's member summary (who is logged in
-// and their interests) with a conditional read: the cached epoch is
-// quoted, a NOT_MODIFIED answer is served from the cache, and a full
-// answer re-primes it. One exchange either way — the versioned
-// interest-list reply carries the member ID, where the classic path
-// needed PS_GETONLINEMEMBERLIST plus PS_GETINTERESTLIST.
-func (c *Client) memberSummary(ctx context.Context, dev ids.DeviceID) (core.Member, bool, error) {
+// summaryRequest is one device's member-summary read (who is logged in
+// and their interests), conditional on the cached epoch: one exchange
+// either way — the versioned interest-list reply carries the member ID,
+// where the classic path needed PS_GETONLINEMEMBERLIST plus
+// PS_GETINTERESTLIST.
+func (c *Client) summaryRequest(dev ids.DeviceID) Request {
 	var epoch uint64
 	var known bool
 	c.mu.Lock()
@@ -864,14 +870,17 @@ func (c *Client) memberSummary(ctx context.Context, dev ids.DeviceID) (core.Memb
 		epoch, known = pc.summaryEpoch, true
 	}
 	c.mu.Unlock()
-	resp, err := c.callShared(ctx, dev, Request{Op: OpGetInterestList, Args: []string{ifEpochArg(epoch, known)}})
-	if err != nil {
-		return core.Member{}, false, err // call already dropped the conn + cache
-	}
+	return Request{Op: OpGetInterestList, Args: []string{ifEpochArg(epoch, known)}}
+}
+
+// memberSummary reads one device's answer to summaryRequest: a
+// NOT_MODIFIED answer is served from the cache, and a full answer
+// re-primes it.
+func (c *Client) memberSummary(dev ids.DeviceID, resp Response) (core.Member, bool) {
 	switch resp.Status {
 	case StatusNotModified:
 		if _, sealed := openVersioned(resp); !sealed {
-			return core.Member{}, false, nil
+			return core.Member{}, false
 		}
 		c.counters.notModified.Add(1)
 		c.mu.Lock()
@@ -881,21 +890,21 @@ func (c *Client) memberSummary(ctx context.Context, dev ids.DeviceID) (core.Memb
 			// concurrent link loss); treat the device as absent this
 			// round and re-fetch next time.
 			c.mu.Unlock()
-			return core.Member{}, false, nil
+			return core.Member{}, false
 		}
 		m := core.Member{Device: dev, ID: pc.member, Interests: pc.interests}
 		online := pc.online
 		c.mu.Unlock()
 		c.counters.cacheHits.Add(1)
-		return m, online, nil
+		return m, online
 	case StatusOK:
 		fields, sealed := openVersioned(resp)
 		if !sealed || len(fields) < 2 {
-			return core.Member{}, false, nil
+			return core.Member{}, false
 		}
 		e, perr := strconv.ParseUint(fields[0], 10, 64)
 		if perr != nil {
-			return core.Member{}, false, nil
+			return core.Member{}, false
 		}
 		member := ids.MemberID(fields[1])
 		interests := fields[2:]
@@ -904,7 +913,7 @@ func (c *Client) memberSummary(ctx context.Context, dev ids.DeviceID) (core.Memb
 		pc.hasSummary, pc.summaryEpoch, pc.online = true, e, true
 		pc.member, pc.interests = member, interests
 		c.mu.Unlock()
-		return core.Member{Device: dev, ID: member, Interests: interests}, true, nil
+		return core.Member{Device: dev, ID: member, Interests: interests}, true
 	case StatusNoMembersYet:
 		if fields, sealed := openVersioned(resp); sealed && len(fields) == 1 {
 			if e, perr := strconv.ParseUint(fields[0], 10, 64); perr == nil {
@@ -915,46 +924,26 @@ func (c *Client) memberSummary(ctx context.Context, dev ids.DeviceID) (core.Memb
 				c.mu.Unlock()
 			}
 		}
-		return core.Member{}, false, nil
-	default:
-		return core.Member{}, false, nil
 	}
+	return core.Member{}, false
 }
 
 // NearbyMembers gathers a core.Member snapshot for every online
 // neighborhood member: who they are and what they are interested in.
-// This is the steady-state hot path of dynamic group discovery; it
-// runs on the bounded pool with per-device conditional reads.
+// This is the steady-state hot path of dynamic group discovery: one
+// fan-out of per-device conditional reads.
 func (c *Client) NearbyMembers(ctx context.Context) ([]core.Member, error) {
 	if _, err := c.activeMember(); err != nil {
 		return nil, err
 	}
-	type answer struct {
-		m   core.Member
-		ok  bool
-		err error
-	}
-	c.counters.fanoutsRun.Add(1)
-	devices := c.lib.DevicesOffering(ServiceName)
-	answers := make([]answer, len(devices))
-	c.runBounded(len(devices), func(i int) {
-		m, ok, err := c.memberSummary(ctx, devices[i])
-		answers[i] = answer{m: m, ok: ok, err: err}
-	})
 	var out []core.Member
-	degraded := false
-	for _, a := range answers {
-		if a.err != nil {
-			degraded = true
+	for _, dr := range c.fanoutBy(ctx, c.summaryRequest) {
+		if dr.Err != nil {
+			continue // call already dropped the conn + cache
 		}
-		if a.ok {
-			out = append(out, a.m)
+		if m, ok := c.memberSummary(dr.Device, dr.Response); ok {
+			out = append(out, m)
 		}
-	}
-	if degraded {
-		// Partial neighborhood: some device failed to answer (or its
-		// circuit was open) and discovery proceeded without it.
-		c.counters.fanoutsDegraded.Add(1)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil

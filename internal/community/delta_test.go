@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/ids"
+	"repro/internal/netsim"
 	"repro/internal/profile"
 )
 
@@ -377,13 +378,15 @@ func TestSingleflightCollapse(t *testing.T) {
 	req := Request{Op: OpGetInterestList, Args: []string{ifEpochArg(0, false)}}
 	key := flightKey{dev: "dev-bob", op: req.Op, args: strings.Join(req.Args, "\x1f")}
 	canned := Response{Status: StatusOK, Fields: []string{"42", "bob", "football"}}
-	fc := &flightCall{done: make(chan struct{}), resp: canned}
-	close(fc.done)
+	fc := new(netsim.Completion[Response])
+	fc.Set(netsim.Flow{}, canned, nil)
 	alice.client.mu.Lock()
 	alice.client.inflight[key] = fc
 	alice.client.mu.Unlock()
 
-	resp, err := alice.client.callShared(ctx, "dev-bob", req)
+	resp, err := await(alice.client, ctx, func(f netsim.Flow, done func(netsim.Flow, Response, error)) {
+		alice.client.callShared(f, "dev-bob", req, done)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

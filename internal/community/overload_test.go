@@ -304,7 +304,6 @@ func TestHedgeRescuesStalledSession(t *testing.T) {
 		FailureThreshold: 100, // keep the breaker out of this test
 		Hedge:            true,
 		HedgeMinSamples:  4,
-		HedgeFloor:       time.Second,
 	})
 
 	// Prime the latency window on a healthy world.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/ids"
+	"repro/internal/netsim"
 	"repro/internal/peerhood"
 	"repro/internal/vtime"
 )
@@ -23,23 +24,15 @@ type ResilienceOptions struct {
 	// peer's breaker (default 3).
 	FailureThreshold int
 	// OpenFor is how long, in modeled time, an open breaker rejects a
-	// peer before probing it again (default 60s). The real wait is
-	// floored at breakerOpenFloor so sub-millisecond scaled windows
-	// don't thrash.
+	// peer before probing it again (default 60s). On the goroutine
+	// engine the real wait is floored at breakerOpenFloor so
+	// sub-millisecond scaled windows don't thrash.
 	OpenFor time.Duration
 	// Hedge enables hedged requests for idempotent reads.
 	Hedge bool
-	// HedgeFactor multiplies the observed p99 latency to get the hedge
-	// delay (default 4 — conservative, so hedges fire on genuine
-	// stragglers, not ordinary jitter).
-	HedgeFactor float64
 	// HedgeMinSamples is how many latency samples must exist before any
 	// hedge fires (default 16).
 	HedgeMinSamples int
-	// HedgeFloor / HedgeCap clamp the hedge delay, in modeled time
-	// (defaults 1s / 30s).
-	HedgeFloor time.Duration
-	HedgeCap   time.Duration
 }
 
 func (o ResilienceOptions) withDefaults() ResilienceOptions {
@@ -49,24 +42,26 @@ func (o ResilienceOptions) withDefaults() ResilienceOptions {
 	if o.OpenFor <= 0 {
 		o.OpenFor = 60 * time.Second
 	}
-	if o.HedgeFactor <= 0 {
-		o.HedgeFactor = 4
-	}
 	if o.HedgeMinSamples <= 0 {
 		o.HedgeMinSamples = 16
-	}
-	if o.HedgeFloor <= 0 {
-		o.HedgeFloor = time.Second
-	}
-	if o.HedgeCap <= 0 {
-		o.HedgeCap = 30 * time.Second
 	}
 	return o
 }
 
-// breakerOpenFloor is the minimum real-time open window. Below this,
-// scheduler jitter is larger than the window itself and the breaker
-// would flap; mirrors peerhood's realTimeout floor in spirit.
+// The hedge delay is hedgeFactor times the observed p99 latency —
+// conservative, so hedges fire on genuine stragglers, not ordinary
+// jitter — clamped to [hedgeFloor, hedgeCap] of modeled time.
+const (
+	hedgeFactor = 4
+	hedgeFloor  = time.Second
+	hedgeCap    = 30 * time.Second
+)
+
+// breakerOpenFloor is the minimum real-time open window on the
+// goroutine engine. Below this, host scheduling jitter is larger than
+// the window itself and the breaker would flap; mirrors peerhood's
+// guard-timeout floor. The DES clock has no host jitter and takes the
+// modeled window as is.
 const breakerOpenFloor = 500 * time.Millisecond
 
 // hedgeSampleWindow is how many recent call latencies feed the p99.
@@ -80,6 +75,7 @@ type resilience struct {
 	opts  ResilienceOptions
 	clock vtime.Clock
 	scale vtime.Scale
+	des   bool
 
 	mu       sync.Mutex
 	breakers map[ids.DeviceID]*peerhood.Breaker
@@ -92,11 +88,13 @@ type resilience struct {
 // hedging). Call it before issuing traffic; calling it again replaces
 // the options and resets all breaker state.
 func (c *Client) SetResilience(opts ResilienceOptions) {
-	env := c.lib.Daemon().Network().Environment()
+	net := c.lib.Daemon().Network()
+	env := net.Environment()
 	r := &resilience{
 		opts:     opts.withDefaults(),
 		clock:    env.Clock(),
 		scale:    env.Scale(),
+		des:      net.Scheduler() != nil,
 		breakers: make(map[ids.DeviceID]*peerhood.Breaker),
 	}
 	c.mu.Lock()
@@ -123,7 +121,7 @@ func (c *Client) breakerFor(dev ids.DeviceID) *peerhood.Breaker {
 	b, ok := r.breakers[dev]
 	if !ok {
 		openFor := r.scale.ToReal(r.opts.OpenFor)
-		if openFor < breakerOpenFloor {
+		if openFor < breakerOpenFloor && !r.des {
 			openFor = breakerOpenFloor
 		}
 		b = peerhood.NewBreaker(r.clock, peerhood.BreakerOptions{
@@ -179,11 +177,11 @@ func (r *resilience) hedgeDelay() (time.Duration, bool) {
 	if idx < 0 {
 		idx = 0
 	}
-	d := time.Duration(float64(tmp[idx]) * r.opts.HedgeFactor)
-	if floor := r.scale.ToReal(r.opts.HedgeFloor); d < floor {
+	d := tmp[idx] * hedgeFactor
+	if floor := r.scale.ToReal(hedgeFloor); d < floor {
 		d = floor
 	}
-	if cap := r.scale.ToReal(r.opts.HedgeCap); d > cap {
+	if cap := r.scale.ToReal(hedgeCap); d > cap {
 		d = cap
 	}
 	return d, true
@@ -196,144 +194,142 @@ func hedgeEligible(op string) bool {
 	return op == OpPing || singleflightable(op)
 }
 
-// timedCall is one exchange with latency observation.
-func (c *Client) timedCall(ctx context.Context, rc *peerhood.RobustConn, payload []byte, r *resilience) ([]byte, error) {
-	if r == nil {
-		return rc.Call(ctx, payload)
-	}
-	start := r.clock.Now()
-	raw, err := rc.Call(ctx, payload)
-	if err == nil {
-		r.observe(r.clock.Now().Sub(start))
-	}
-	return raw, err
-}
-
 // exchange runs one request/response against a peer, hedging eligible
 // reads: once the primary has been silent for a p99-derived delay, a
-// second session is raced against it and the first reply wins. A fresh
-// session matters — the fault plane draws stall fates per session, so a
-// re-dial escapes a stalled one.
-func (c *Client) exchange(ctx context.Context, dev ids.DeviceID, rc *peerhood.RobustConn, payload []byte, op string) ([]byte, error) {
+// timer dials a second session and races it against the primary, and
+// the first reply wins. A fresh session matters — the fault plane draws
+// stall fates per session, so a re-dial escapes a stalled one.
+func (c *Client) exchange(f netsim.Flow, dev ids.DeviceID, rc *peerhood.RobustConn, payload []byte, op string, then func(netsim.Flow, []byte, error)) {
 	r := c.resilience()
 	if r == nil || !r.opts.Hedge || !hedgeEligible(op) {
-		return c.timedCall(ctx, rc, payload, r)
+		c.leg(f, rc, payload, r, then)
+		return
 	}
 	delay, ok := r.hedgeDelay()
 	if !ok {
-		return c.timedCall(ctx, rc, payload, r)
+		c.leg(f, rc, payload, r, then)
+		return
 	}
-	return c.hedgedCall(ctx, dev, rc, payload, delay, r)
+	// The legs may outlive the caller's pooled buffer.
+	h := &hedge{c: c, dev: dev, primary: rc, payload: append([]byte(nil), payload...), r: r, legs: 1}
+	h.mu.Lock() // the timer's launch waits until its stop is stored
+	h.stop = f.After(delay, h.launch)
+	h.mu.Unlock()
+	c.leg(f, rc, h.payload, r, func(f netsim.Flow, raw []byte, err error) { h.settle(f, nil, raw, err) })
+	h.race.Then(f, then)
 }
 
-// hedgeResult is one leg's outcome; conn is non-nil only for the spare
-// leg, which owns its session until adopted or reaped.
-type hedgeResult struct {
-	raw  []byte
-	err  error
-	conn *peerhood.RobustConn
-}
-
-// hedgedCall races the primary exchange against a late-started spare
-// session. The pooled payload buffer is copied once up front because
-// both legs may outlive the caller's frame.
-func (c *Client) hedgedCall(ctx context.Context, dev ids.DeviceID, rc *peerhood.RobustConn, payload []byte, delay time.Duration, r *resilience) ([]byte, error) {
-	owned := append([]byte(nil), payload...)
-	results := make(chan hedgeResult, 2)
-	go func() {
-		start := r.clock.Now()
-		raw, err := rc.Call(ctx, owned)
+// leg is one exchange on a session, feeding a successful exchange's
+// latency into the hedge window.
+func (c *Client) leg(f netsim.Flow, rc *peerhood.RobustConn, payload []byte, r *resilience, then func(netsim.Flow, []byte, error)) {
+	if r == nil {
+		rc.Exchange(f, payload, then)
+		return
+	}
+	start := r.clock.Now()
+	rc.Exchange(f, payload, func(f netsim.Flow, raw []byte, err error) {
 		if err == nil {
 			r.observe(r.clock.Now().Sub(start))
 		}
-		results <- hedgeResult{raw: raw, err: err}
-	}()
+		then(f, raw, err)
+	})
+}
 
-	spareCtx, cancelSpare := context.WithCancel(ctx)
-	launched := false
-	outstanding := 1
-	var firstErr error
-	hedgeTimer := r.clock.After(delay)
-	defer func() {
-		// Reap whatever leg is still in flight: cancel it and close the
-		// spare session once it resolves, so neither goroutines nor
-		// connections leak past the call.
-		cancelSpare()
-		if outstanding > 0 {
-			go func(n int) {
-				for i := 0; i < n; i++ {
-					if res := <-results; res.conn != nil {
-						res.conn.Close()
-					}
-				}
-			}(outstanding)
-		}
-	}()
+// hedge is one hedged exchange. The first reply wins the race and the
+// losing session is aborted, which also fails a primary stalled in its
+// receive; with every leg failed, the first error ends it.
+type hedge struct {
+	c       *Client
+	dev     ids.DeviceID
+	primary *peerhood.RobustConn
+	payload []byte
+	r       *resilience
+	race    netsim.Completion[[]byte]
 
-	for {
-		select {
-		case res := <-results:
-			outstanding--
-			if res.err == nil {
-				if res.conn != nil {
-					// The spare won: adopt its healthy session and retire
-					// the one that stalled.
-					c.counters.hedgeWins.Add(1)
-					c.adoptConn(dev, rc, res.conn)
-				}
-				return res.raw, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeTimer:
-			if launched {
-				hedgeTimer = nil
-				continue
-			}
-			launched = true
-			hedgeTimer = nil
-			c.counters.hedgesLaunched.Add(1)
-			outstanding++
-			go func() {
-				spare, err := c.lib.ConnectRobust(spareCtx, dev, ServiceName)
-				if err != nil {
-					results <- hedgeResult{err: err}
-					return
-				}
-				start := r.clock.Now()
-				raw, err := spare.Call(spareCtx, owned)
-				if err != nil {
-					spare.Close()
-					results <- hedgeResult{err: err}
-					return
-				}
-				r.observe(r.clock.Now().Sub(start))
-				results <- hedgeResult{raw: raw, conn: spare}
-			}()
+	mu       sync.Mutex // guards the rest: the timer may run beside the primary
+	stop     func()     // stops the hedge timer
+	legs     int        // legs in flight
+	decided  bool
+	firstErr error
+	spare    *peerhood.RobustConn
+}
+
+// launch is the hedge timer: unless the race is decided, it dials the
+// spare session and runs the spare leg.
+func (h *hedge) launch(f netsim.Flow) {
+	h.mu.Lock()
+	if h.decided {
+		h.mu.Unlock()
+		return
+	}
+	h.legs++
+	h.mu.Unlock()
+	h.c.counters.hedgesLaunched.Add(1)
+	h.c.lib.Daemon().DialRobust(f, h.dev, ServiceName, peerhood.DefaultRobustOptions(), func(f netsim.Flow, spare *peerhood.RobustConn, err error) {
+		if err != nil {
+			h.settle(f, nil, nil, err)
+			return
 		}
+		h.mu.Lock()
+		h.spare = spare
+		decided := h.decided
+		h.mu.Unlock()
+		if decided {
+			spare.Abort(f) // the primary won while we dialed: the leg fails at once
+		}
+		h.c.leg(f, spare, h.payload, h.r, func(f netsim.Flow, raw []byte, err error) { h.settle(f, spare, raw, err) })
+	})
+}
+
+// settle takes one leg's outcome: spare is nil for the primary (and
+// for a spare whose dial failed).
+func (h *hedge) settle(f netsim.Flow, spare *peerhood.RobustConn, raw []byte, err error) {
+	h.mu.Lock()
+	h.legs--
+	if err != nil && h.firstErr == nil {
+		h.firstErr = err
+	}
+	wins := !h.decided && (err == nil || h.legs == 0)
+	h.decided = h.decided || wins
+	other, stop, firstErr := h.spare, h.stop, h.firstErr
+	h.mu.Unlock()
+	switch {
+	case !wins || err != nil:
+		if spare != nil {
+			spare.Abort(f)
+		}
+		if wins {
+			stop()
+			h.race.Set(f, nil, firstErr)
+		}
+	case spare != nil:
+		// The spare won: adopt its healthy session and retire the one
+		// that stalled.
+		h.c.counters.hedgeWins.Add(1)
+		h.c.adoptConn(f, h.dev, h.primary, spare)
+		h.race.Set(f, raw, nil)
+	default:
+		stop()
+		if other != nil {
+			other.Abort(f)
+		}
+		h.race.Set(f, raw, nil)
 	}
 }
 
-// adoptConn swaps the cached session for a peer: if old is still the
-// cached conn it is replaced by won and closed; otherwise won becomes
-// the cache only if the slot is empty (a concurrent dropConn ran).
-func (c *Client) adoptConn(dev ids.DeviceID, old, won *peerhood.RobustConn) {
+// adoptConn swaps the cached session for a peer: won replaces old if
+// old is still cached, or fills the slot if a concurrent dropConn
+// emptied it; otherwise won is dropped. old is aborted either way.
+func (c *Client) adoptConn(f netsim.Flow, dev ids.DeviceID, old, won *peerhood.RobustConn) {
 	c.mu.Lock()
 	cur, ok := c.conns[dev]
-	switch {
-	case ok && cur == old:
+	adopt := !c.closed && (!ok || cur == old)
+	if adopt {
 		c.conns[dev] = won
-		c.mu.Unlock()
-		old.Close()
-	case !ok && !c.closed:
-		c.conns[dev] = won
-		c.mu.Unlock()
-	default:
-		c.mu.Unlock()
-		won.Close()
+	}
+	c.mu.Unlock()
+	old.Abort(f)
+	if !adopt {
+		won.Abort(f)
 	}
 }

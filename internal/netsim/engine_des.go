@@ -302,11 +302,14 @@ func (c *Conn) desLaunch(msg []byte, at func(d time.Duration, home uint64, fn fu
 	charges := time.Duration(1 + fate.Retransmits)
 	busy := charges * scale.ToReal(transfer)
 	now := c.net.sched.NowNS()
-	// The pump's shape: stall first (not holding the radio), then the
-	// radio for every charge, then the fate's extra delay.
-	ready := now + int64(scale.ToReal(stall))
-	txStart := c.local.claimAir(c.tech, ready, busy)
-	deliverAt := txStart + int64(busy) + int64(scale.ToReal(fate.Delay))
+	// The radio for every charge, then the stall and the fate's extra
+	// delay. The pump stalls first, not holding the radio; the ledger
+	// is one free-at instant, so a claim at the stall's end would hold
+	// the radio for the whole stall and withhold every other session's
+	// messages with it. The stalled message takes its airtime now and
+	// waits the stall out after it.
+	txStart := c.local.claimAir(c.tech, now, busy)
+	deliverAt := txStart + int64(busy) + int64(scale.ToReal(stall)) + int64(scale.ToReal(fate.Delay))
 	if deliverAt <= d.dirFree {
 		deliverAt = d.dirFree + 1
 	}

@@ -3,7 +3,6 @@ package netsim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -54,8 +53,8 @@ type Handshake struct {
 // next until it reports false; each handshake ends before the next is
 // drawn. On the goroutine engine the handshakes are blocking calls
 // bounded by ctx. On the discrete-event engine the first handshake is
-// drawn on the caller and the round runs as one event cascade on the
-// device's home that the caller awaits (des.Scheduler.Await); it always
+// drawn on the caller and the round runs as one flow (Await), an event
+// cascade on the device's home that the caller awaits; it always
 // finishes in virtual time, so ctx is not consulted, and an empty round
 // schedules nothing. Never call it from inside an event: use
 // RoundEvent there.
@@ -70,15 +69,11 @@ func (n *Network) Round(ctx context.Context, from ids.DeviceID, tech radio.Techn
 	if !ok {
 		return
 	}
-	done := make(chan struct{})
-	n.sched.At(0, homeOf(from), func(ctx *des.Ctx) {
-		n.handshakeEvent(ctx, from, tech, port, h, func(ctx *des.Ctx) {
-			n.RoundEvent(ctx, from, tech, port, next, func(*des.Ctx) { close(done) })
+	Await(n, ctx, from, func(f Flow, done func(Flow, struct{}, error)) {
+		n.handshakeEvent(f.ev, from, tech, port, h, func(ev *des.Ctx) {
+			n.RoundEvent(ev, from, tech, port, next, func(ev *des.Ctx) { done(f.In(ev), struct{}{}, nil) })
 		})
 	})
-	if err := n.sched.Await(done); err != nil {
-		panic(fmt.Sprintf("netsim: %s: round cascade: %v", from, err))
-	}
 }
 
 // RoundEvent is Round for a caller that is an event on the network's

@@ -54,7 +54,7 @@ type Network struct {
 	rng         *rand.Rand
 	closed      bool
 	conns       map[*Conn]bool // one end per live pair, for sweep + Close teardown
-	sweeping    bool           // a link sweeper (goroutine or event chain) is running
+	sweeping    bool           // a link sweeper (clock callback or event chain) is running
 
 	// The change-driven link sweep's state (sweep.go): the conns tracked
 	// since the last sweep step, the epoch of the last full sweep, the
@@ -66,10 +66,11 @@ type Network struct {
 	partGen     uint64
 	sweepChecks uint64
 
-	// sweepWake (capacity 1) nudges the link sweeper out of its timer
-	// wait when the network closes or the last connection dies, so the
-	// goroutine exits promptly even under a paused manual clock.
-	sweepWake chan struct{}
+	// sweepStop stops the goroutine engine's armed sweep callback (nil
+	// while none is armed); sweepGen retires a callback that was already
+	// running when it was stopped, so it never re-arms.
+	sweepStop func() bool
+	sweepGen  uint64
 
 	counters netCounters
 
@@ -89,7 +90,7 @@ type Network struct {
 	nodes  map[ids.DeviceID]*node
 
 	// sched selects the engine: nil runs the goroutine engine (conn
-	// pumps + sweepLinks goroutine); non-nil runs the discrete-event
+	// pumps + a link-sweep clock callback); non-nil runs the discrete-event
 	// engine (engine_des.go), where sends schedule delivery events and
 	// the sweep is a self-rescheduling event. Set once at construction,
 	// never mutated.
@@ -175,7 +176,6 @@ func New(env *radio.Environment, seed int64) *Network {
 		nodes:       make(map[ids.DeviceID]*node),
 		conns:       make(map[*Conn]bool),
 		unswept:     make(map[*Conn]bool),
-		sweepWake:   make(chan struct{}, 1),
 		pairSeq:     make(map[dirPair]uint64),
 	}
 }
@@ -274,7 +274,7 @@ func (n *Network) Close() {
 	sortConnsDet(live)
 	n.conns = make(map[*Conn]bool)
 	clear(n.unswept)
-	n.kickSweeperLocked()
+	n.stopSweepLocked()
 	n.mu.Unlock()
 	// Outside the lock: failing a conn re-enters the network to
 	// deregister itself.

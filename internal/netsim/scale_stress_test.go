@@ -135,7 +135,7 @@ func TestStress1kDevicesConcurrentOps(t *testing.T) {
 	if echoed.Load() == 0 {
 		t.Fatal("no echo round trip ever succeeded across the whole stress run")
 	}
-	if got := countGoroutinesIn(".sweepLinks"); got > 1 {
-		t.Fatalf("sweepLinks goroutines after stress = %d, want <= 1", got)
+	if got := armedSweepers(net); got > 1 {
+		t.Fatalf("armed sweepers after stress = %d, want <= 1", got)
 	}
 }

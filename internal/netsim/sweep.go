@@ -23,43 +23,32 @@ type sweepEpoch struct{ world, part uint64 }
 // Close teardown, starting the sweeper if it is not already running.
 func (n *Network) trackConn(c *Conn) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.conns[c] = true
 	n.unswept[c] = true
-	start := !n.sweeping && !n.closed
-	if start {
-		n.sweeping = true
-	}
-	n.mu.Unlock()
-	if !start {
+	if n.sweeping || n.closed {
 		return
 	}
+	n.sweeping = true
 	if n.sched != nil {
 		n.sched.At(n.sweepInterval(), sweepHome, n.desSweepEvent)
-	} else {
-		go n.sweepLinks()
+		return
 	}
+	n.sweepGen++
+	n.armSweepLocked()
 }
 
 // dropConn removes a dead conn from the registry; no-op for the
-// untracked end of a pair. When the last conn goes, the sweeper is
-// nudged so it can retire instead of idling on its timer.
+// untracked end of a pair. When the last conn goes, the goroutine
+// engine's sweep callback is stopped instead of idling on its timer.
 func (n *Network) dropConn(c *Conn) {
 	n.mu.Lock()
 	delete(n.conns, c)
 	delete(n.unswept, c)
 	if len(n.conns) == 0 {
-		n.kickSweeperLocked()
+		n.stopSweepLocked()
 	}
 	n.mu.Unlock()
-}
-
-// kickSweeperLocked wakes the link sweeper without blocking; callers
-// hold n.mu. The capacity-1 channel coalesces pending kicks.
-func (n *Network) kickSweeperLocked() {
-	select {
-	case n.sweepWake <- struct{}{}:
-	default:
-	}
 }
 
 // sweepInterval is the real-scaled link-check period both sweepers
@@ -72,21 +61,43 @@ func (n *Network) sweepInterval() time.Duration {
 	return interval
 }
 
-// sweepLinks is the goroutine engine's link sweeper: a single goroutine
-// per Network — the O(1)-goroutine replacement for the per-connection
-// watchdog tickers the simulator started out with, which capped it at
-// tens of devices — that wakes on a timer and runs sweepStep. It exits
-// when the network closes or the last connection dies, and trackConn
-// restarts it for the next connection.
-func (n *Network) sweepLinks() {
-	interval := n.sweepInterval()
-	for running := true; running; {
-		select {
-		case <-n.env.Clock().After(interval):
-		case <-n.sweepWake:
-		}
-		running = n.sweepStep((*Conn).failBoth)
+// armSweepLocked arms the goroutine engine's link sweeper: a callback on
+// the environment's clock, one per Network whatever its conn count,
+// that runs sweepStep and re-arms itself as the event engine's sweeper
+// re-arms with Ctx.At. Callers hold n.mu.
+func (n *Network) armSweepLocked() {
+	gen := n.sweepGen
+	n.sweepStop = n.env.Clock().AfterFunc(n.sweepInterval(), func() { n.sweepTick(gen) })
+}
+
+// sweepTick is one step of the goroutine engine's sweeper. A tick that
+// a stop overtook (gen is stale) does nothing, and one whose step
+// retired the sweeper does not re-arm.
+func (n *Network) sweepTick(gen uint64) {
+	n.mu.Lock()
+	stale := gen != n.sweepGen
+	n.mu.Unlock()
+	if stale || !n.sweepStep((*Conn).failBoth) {
+		return
 	}
+	n.mu.Lock()
+	if gen == n.sweepGen && n.sweeping {
+		n.armSweepLocked()
+	}
+	n.mu.Unlock()
+}
+
+// stopSweepLocked stops the goroutine engine's armed sweep callback, so
+// an idle or closed network holds no timer. The event engine's sweep
+// chain retires at its next step instead. Callers hold n.mu.
+func (n *Network) stopSweepLocked() {
+	if n.sweepStop == nil {
+		return
+	}
+	n.sweepStop()
+	n.sweepStop = nil
+	n.sweepGen++
+	n.sweeping = false
 }
 
 // desSweepEvent is the event engine's link sweeper: the same sweepStep

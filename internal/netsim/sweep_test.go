@@ -26,31 +26,39 @@ func countGoroutinesIn(fn string) int {
 	return strings.Count(string(buf[:n]), fn)
 }
 
-// waitSweepers waits, for up to 5 s, until exactly want sweepLinks
-// goroutines are running process-wide.
-func waitSweepers(t *testing.T, want int, what string) {
+// armedSweepers reports how many link-sweep callbacks the goroutine
+// engine has armed on n: 1 while its sweeper runs, 0 once it retired.
+func armedSweepers(n *Network) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.sweepStop != nil && n.sweeping {
+		return 1
+	}
+	return 0
+}
+
+// waitSweepers waits, for up to 5 s, until exactly want sweep callbacks
+// are armed on n.
+func waitSweepers(t *testing.T, n *Network, want int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for countGoroutinesIn(".sweepLinks") != want {
+	for armedSweepers(n) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("%s: sweepLinks goroutines = %d, want %d",
-				what, countGoroutinesIn(".sweepLinks"), want)
+			t.Fatalf("%s: armed sweepers = %d, want %d", what, armedSweepers(n), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestLinkSweepIsSharedAcrossConnections is the O(1)-watchdog proof:
-// with 500 idle connections open, exactly one sweepLinks goroutine is
-// running — the goroutine count per connection is the two pumps, not a
+// with 500 idle connections open, exactly one sweep callback is armed
+// — the goroutine count per connection is the two pumps, not a
 // per-connection watchdog ticker.
 func TestLinkSweepIsSharedAcrossConnections(t *testing.T) {
-	// The count is process-wide: let a sweeper an earlier test's network
-	// left retiring finish first.
-	waitSweepers(t, 0, "before dialing")
 	env := radio.NewEnvironment(radio.WithScale(vtime.NewScale(1e-4)))
 	net := New(env, 1)
 	defer net.Close()
+	waitSweepers(t, net, 0, "before dialing")
 	addStatic(t, env, "srv", geo.Pt(0, 0), radio.WLAN)
 	addStatic(t, env, "cli", geo.Pt(5, 0), radio.WLAN)
 
@@ -87,8 +95,8 @@ func TestLinkSweepIsSharedAcrossConnections(t *testing.T) {
 		}
 	}()
 
-	if got := countGoroutinesIn(".sweepLinks"); got != 1 {
-		t.Fatalf("sweepLinks goroutines with %d idle conns = %d, want exactly 1", idleConns, got)
+	if got := armedSweepers(net); got != 1 {
+		t.Fatalf("armed sweepers with %d idle conns = %d, want exactly 1", idleConns, got)
 	}
 	// Sanity: the pumps really are per-connection, so the sweep being
 	// shared is not an artifact of nothing running at all.
@@ -130,12 +138,12 @@ func TestSweepRetiresWhenIdleAndRestarts(t *testing.T) {
 		c.Abort()
 	}
 	dialOnce()
-	waitSweepers(t, 0, "after last conn died")
+	waitSweepers(t, net, 0, "after last conn died")
 	c, err := net.Dial(ctx, "a", "b", radio.WLAN, "svc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSweepers(t, 1, "after redial")
+	waitSweepers(t, net, 1, "after redial")
 	c.Abort()
 }
 
@@ -209,17 +217,13 @@ func newSweepWorld(t *testing.T, useDES bool, bModel mobility.Model) *sweepWorld
 		clk := vtime.NewManual(time.Unix(0, 0))
 		w.env = radio.NewEnvironment(radio.WithClock(clk), radio.WithPHY(phy))
 		w.net = New(w.env, 1)
-		// The sweeper is the only clock waiter in an idle world: it is
-		// parked when Waiters reads 1, and back on its timer once a step
-		// it was woken for has finished.
+		// The sweeper is the only clock waiter in an idle world: its
+		// callback runs inside Advance, so between steps the clock holds
+		// exactly the armed sweeper (none once the sweeper retired).
 		parked := func() {
 			t.Helper()
-			deadline := time.Now().Add(5 * time.Second)
-			for clk.Waiters() != 1 {
-				if time.Now().After(deadline) {
-					t.Fatalf("link sweeper not parked on the clock (%d waiters)", clk.Waiters())
-				}
-				time.Sleep(50 * time.Microsecond)
+			if got, want := clk.Waiters(), armedSweepers(w.net); got != want {
+				t.Fatalf("clock holds %d waiters, want the %d armed sweeper(s)", got, want)
 			}
 		}
 		w.step = func() {
@@ -584,6 +588,39 @@ func TestLinkFailureCountedOncePerConn(t *testing.T) {
 					t.Fatalf("%d conns lost their link, counted %d link failures", conns, got)
 				}
 			})
+		}
+	}
+}
+
+// TestSweepLeavesNoTimerAfterDialAbortCycles: the goroutine engine's
+// sweeper is a clock callback that the last conn's death stops, so
+// dial/abort cycles on a manual clock leave no pending timer behind.
+func TestSweepLeavesNoTimerAfterDialAbortCycles(t *testing.T) {
+	net, _ := hsWorld(t, false)
+	clk := net.Environment().Clock().(*vtime.Manual)
+	l, err := net.Listen("hs-b", "svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for cycle := 1; cycle <= 5; cycle++ {
+		c, err := net.Dial(ctx, "hs-a", "hs-b", radio.Bluetooth, "svc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := l.Accept(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := armedSweepers(net); got != 1 {
+			t.Fatalf("cycle %d: armed sweepers with a live conn = %d, want 1", cycle, got)
+		}
+		c.Abort()
+		server.Abort()
+		if got := clk.Waiters(); got != 0 {
+			t.Fatalf("cycle %d: %d pending timers after the abort, want 0", cycle, got)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/radio"
@@ -135,6 +136,11 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	if len(cfg.Technologies) == 0 {
 		return nil, fmt.Errorf("peerhood: device %q has no radios", cfg.Device)
+	}
+	if cfg.GPRSProxy != "" && cfg.Network.Scheduler() != nil {
+		// The operator proxy bridges blocking conns (netsim.Proxy); the
+		// DES dials sessions as events, which it cannot carry.
+		return nil, errors.New("peerhood: a GPRS proxy needs the goroutine engine")
 	}
 	if cfg.DiscoveryInterval <= 0 {
 		cfg.DiscoveryInterval = defaultDiscoveryInterval
@@ -391,27 +397,63 @@ func cloneNeighbor(n *NeighborInfo) NeighborInfo {
 // --- Connections (Table 3: "Connection Establishment") ---
 
 // Connect dials a service on a neighbor, trying technologies in
-// preference order among those currently reachable.
+// preference order among those currently reachable: connectIn for a
+// blocking caller (netsim.Await).
 func (d *Daemon) Connect(ctx context.Context, dev ids.DeviceID, service ids.ServiceName) (*netsim.Conn, error) {
+	return netsim.Await(d.cfg.Network, ctx, d.cfg.Device, func(f netsim.Flow, done func(netsim.Flow, *netsim.Conn, error)) {
+		d.connectIn(f, dev, service, done)
+	})
+}
+
+// connectIn is Connect in flow f: it dials each plugin that reaches
+// dev, in preference order, until one connects, and fails with the last
+// dial error, or ErrNoRoute when no plugin reached dev at all.
+func (d *Daemon) connectIn(f netsim.Flow, dev ids.DeviceID, service ids.ServiceName, then func(netsim.Flow, *netsim.Conn, error)) {
 	var lastErr error
-	for _, p := range d.plugins {
-		if !p.Reachable(dev) {
-			continue
+	var try func(f netsim.Flow, i int)
+	try = func(f netsim.Flow, i int) {
+		for i < len(d.plugins) && !d.plugins[i].Reachable(dev) {
+			i++
 		}
-		conn, err := p.Dial(ctx, dev, servicePortPrefix+string(service))
-		if err == nil {
-			d.stats.connectsRouted.Add(1)
-			return conn, nil
+		if i == len(d.plugins) {
+			if lastErr == nil {
+				lastErr = fmt.Errorf("%w: %q", ErrNoRoute, dev)
+			}
+			then(f, nil, lastErr)
+			return
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
+		d.dialIn(f, d.plugins[i], dev, ServicePort(service), func(f netsim.Flow, conn *netsim.Conn, err error) {
+			switch {
+			case err == nil:
+				d.stats.connectsRouted.Add(1)
+				then(f, conn, nil)
+			case f.Context().Err() != nil:
+				then(f, nil, f.Context().Err())
+			default:
+				lastErr = err
+				try(f, i+1)
+			}
+		})
 	}
-	if lastErr != nil {
-		return nil, lastErr
+	try(f, 0)
+}
+
+// dialIn is one plugin dial in flow f: the plugin's own Dial on the
+// goroutine engine; on the DES a Network.DialEvent on the plugin's
+// technology, metered on LinkQuality as the plugin's Dial is.
+func (d *Daemon) dialIn(f netsim.Flow, p Plugin, dev ids.DeviceID, port string, then func(netsim.Flow, *netsim.Conn, error)) {
+	if f.Event() == nil {
+		conn, err := p.Dial(f.Context(), dev, port)
+		then(f, conn, err)
+		return
 	}
-	return nil, fmt.Errorf("%w: %q", ErrNoRoute, dev)
+	d.linkq.dialsAttempted.Add(1)
+	d.cfg.Network.DialEvent(f.Event(), d.cfg.Device, dev, p.Technology(), port, func(ev *des.Ctx, conn *netsim.Conn, err error) {
+		if err != nil {
+			d.linkq.dialsFailed.Add(1)
+		}
+		then(f.In(ev), conn, err)
+	})
 }
 
 // --- Monitoring (Table 3: "Active monitoring of a device") ---

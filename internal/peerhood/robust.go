@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/radio"
@@ -24,12 +25,18 @@ import (
 // link loss may be retransmitted. Request/response protocols (like
 // PeerHood Community's) tolerate both.
 //
-// Every operation runs under a per-call deadline (RobustOptions.
-// CallTimeout) and retries link losses — including re-dial failures —
-// with capped exponential backoff. Backoff jitter comes from a private
-// rand.Rand seeded from the (local, remote, service) triple, so retry
-// schedules are deterministic per connection and independent across
-// connections.
+// A session has one retry policy, which do walks with blocking calls on
+// the goroutine engine and doEvent walks as events on the DES:
+//   - the first dial is eager and fails fast (DialRobust);
+//   - one exchange at a time per session (exMu, enter);
+//   - every exchange runs under a per-call deadline (RobustOptions.
+//     CallTimeout, budget) and retries link losses, including re-dial
+//     failures over the daemon's plugin order (retryable);
+//   - retries wait a capped exponential backoff whose jitter comes from
+//     a private rand.Rand seeded from the (local, remote, service)
+//     triple, so retry schedules are deterministic per connection and
+//     independent across connections (backoffDelay);
+//   - a failed exchange poisons the session (poison).
 type RobustConn struct {
 	daemon  *Daemon
 	dev     ids.DeviceID
@@ -39,10 +46,12 @@ type RobustConn struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// exMu serializes Call exchanges: a request/response pair owns the
-	// session until its reply (or failure) lands, so concurrent Calls
-	// can never read each other's responses.
+	// exMu serializes exchanges on the goroutine engine, and turn, the
+	// last exchange's turn (enter), on the DES: a request/response pair
+	// owns the session until its reply (or failure) lands, so
+	// concurrent exchanges can never read each other's responses.
 	exMu sync.Mutex
+	turn *netsim.Completion[struct{}]
 
 	mu       sync.Mutex
 	conn     *netsim.Conn
@@ -66,7 +75,7 @@ type RobustOptions struct {
 	BackoffBase time.Duration
 	// BackoffCap bounds the nominal delay.
 	BackoffCap time.Duration
-	// CallTimeout bounds one Send/Recv/Call including all retries and
+	// CallTimeout bounds one exchange including all retries and
 	// backoff waits. Zero disables the deadline.
 	CallTimeout time.Duration
 }
@@ -105,21 +114,31 @@ func (d *Daemon) ConnectRobust(ctx context.Context, dev ids.DeviceID, service id
 }
 
 // ConnectRobustWith opens a seamless connection with explicit retry
-// options. The initial dial is eager: it fails fast rather than
-// retrying, so callers learn immediately when a peer is unreachable.
+// options: DialRobust for a blocking caller (netsim.Await).
 func (d *Daemon) ConnectRobustWith(ctx context.Context, dev ids.DeviceID, service ids.ServiceName, opts RobustOptions) (*RobustConn, error) {
-	conn, err := d.Connect(ctx, dev, service)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustConn{
-		daemon:  d,
-		dev:     dev,
-		service: service,
-		opts:    opts.withDefaults(),
-		rng:     rand.New(rand.NewSource(robustSeed(d.cfg.Device, dev, service))),
-		conn:    conn,
-	}, nil
+	return netsim.Await(d.cfg.Network, ctx, d.cfg.Device, func(f netsim.Flow, done func(netsim.Flow, *RobustConn, error)) {
+		d.DialRobust(f, dev, service, opts, done)
+	})
+}
+
+// DialRobust opens a seamless connection in flow f and hands it to
+// then. The initial dial is eager: it fails fast rather than retrying,
+// so callers learn immediately when a peer is unreachable.
+func (d *Daemon) DialRobust(f netsim.Flow, dev ids.DeviceID, service ids.ServiceName, opts RobustOptions, then func(netsim.Flow, *RobustConn, error)) {
+	d.connectIn(f, dev, service, func(f netsim.Flow, conn *netsim.Conn, err error) {
+		if err != nil {
+			then(f, nil, err)
+			return
+		}
+		then(f, &RobustConn{
+			daemon:  d,
+			dev:     dev,
+			service: service,
+			opts:    opts.withDefaults(),
+			rng:     rand.New(rand.NewSource(robustSeed(d.cfg.Device, dev, service))),
+			conn:    conn,
+		}, nil)
+	})
 }
 
 // robustSeed derives a per-connection jitter seed from the endpoint
@@ -155,30 +174,67 @@ func (r *RobustConn) Failovers() int {
 	return r.failures
 }
 
-// current returns the live conn, re-dialing if the previous one died.
+// current is currentIn for do's blocking caller.
 func (r *RobustConn) current(ctx context.Context) (*netsim.Conn, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	conn := r.conn
+	r.mu.Unlock()
+	if conn != nil && conn.Alive() {
+		return conn, nil // the common case, without a flow
+	}
+	return netsim.Await(r.daemon.cfg.Network, ctx, r.daemon.cfg.Device, r.currentIn)
+}
+
+// currentIn hands then the live conn, re-dialing (Daemon.connectIn) if
+// the previous one died.
+func (r *RobustConn) currentIn(f netsim.Flow, then func(netsim.Flow, *netsim.Conn, error)) {
+	r.mu.Lock()
 	if r.closed {
-		return nil, netsim.ErrConnClosed
+		r.mu.Unlock()
+		then(f, nil, netsim.ErrConnClosed)
+		return
 	}
 	if r.conn != nil && r.conn.Alive() {
-		return r.conn, nil
+		conn := r.conn
+		r.mu.Unlock()
+		then(f, conn, nil)
+		return
 	}
-	if r.conn != nil {
-		// Dead session: drop our hold before replacing it, so the pair
-		// can recycle. We are its sole releaser — Close and poison both
-		// clear r.conn under the lock before releasing.
-		r.conn.Abort()
-		r.conn = nil
+	// Dead session: drop our hold before replacing it, so the pair can
+	// recycle. We are its sole releaser — Close and poison both clear
+	// r.conn under the lock before releasing.
+	dead := r.conn
+	r.conn = nil
+	r.mu.Unlock()
+	if dead != nil {
+		f.Abort(dead)
 	}
-	conn, err := r.daemon.Connect(ctx, r.dev, r.service)
-	if err != nil {
-		return nil, fmt.Errorf("peerhood: seamless reconnect to %s: %w", r.dev, err)
-	}
-	r.conn = conn
-	r.failures++
-	return conn, nil
+	r.daemon.connectIn(f, r.dev, r.service, func(f netsim.Flow, conn *netsim.Conn, err error) {
+		if err != nil {
+			then(f, nil, fmt.Errorf("peerhood: seamless reconnect to %s: %w", r.dev, err))
+			return
+		}
+		r.mu.Lock()
+		switch {
+		case r.closed:
+			r.mu.Unlock()
+			f.Abort(conn)
+			then(f, nil, netsim.ErrConnClosed)
+		case r.conn != nil:
+			// An exchange the deadline ended mid-dial left its re-dial
+			// behind, and the next one has re-dialed since: keep the
+			// session's conn and drop this one.
+			cur := r.conn
+			r.mu.Unlock()
+			f.Abort(conn)
+			then(f, cur, nil)
+		default:
+			r.conn = conn
+			r.failures++
+			r.mu.Unlock()
+			then(f, conn, nil)
+		}
+	})
 }
 
 // backoffDelay returns the jittered wait before retry number `retry`
@@ -200,34 +256,67 @@ func (r *RobustConn) backoffDelay(retry int) time.Duration {
 	return half + jitter
 }
 
-// deadlineContext derives the per-operation context. The deadline is a
-// callback on the environment's clock (so manual clocks drive it in
-// tests, and on the discrete-event clock it is an event with no
-// goroutine parked on it) that cancels with ErrCallTimeout as the
-// cause; the release function stops it, so a call that ends in time
-// leaves no timer behind.
+// budget is the real-scaled per-call deadline, zero when disabled. On
+// the goroutine engine it is floored against host jitter (realTimeout);
+// the DES clock has none, so there the modeled deadline is scaled as
+// is: a floor would stretch a 30 s deadline at scale 1e-3 to 2 000
+// modeled seconds.
+func (r *RobustConn) budget() time.Duration {
+	net := r.daemon.cfg.Network
+	switch {
+	case r.opts.CallTimeout <= 0:
+		return 0
+	case net.Scheduler() != nil:
+		return net.Environment().Scale().ToReal(r.opts.CallTimeout)
+	}
+	return realTimeout(net.Environment(), r.opts.CallTimeout)
+}
+
+// retryable decides an attempt that failed with err: a link loss is
+// tried again after a backoff while attempts remain, and so is a failed
+// re-dial, since the peer may come back; a closed session and every
+// other error end the exchange.
+func retryable(err error, redial bool) bool {
+	if redial {
+		return !errors.Is(err, netsim.ErrConnClosed)
+	}
+	return errors.Is(err, netsim.ErrLinkLost)
+}
+
+// timeoutErr is the error of an exchange the deadline stopped, naming
+// the last error it had met, if any.
+func (r *RobustConn) timeoutErr(last error) error {
+	if last != nil && !errors.Is(last, context.Canceled) && !errors.Is(last, ErrCallTimeout) {
+		return fmt.Errorf("%w (budget %v, last error: %v)", ErrCallTimeout, r.opts.CallTimeout, last)
+	}
+	return fmt.Errorf("%w (budget %v)", ErrCallTimeout, r.opts.CallTimeout)
+}
+
+// deadlineContext derives the per-exchange context on the goroutine
+// engine. The deadline is a callback on the environment's clock (so
+// manual clocks drive it in tests) that cancels with ErrCallTimeout as
+// the cause; the release function stops it, so an exchange that ends
+// in time leaves no timer behind.
 func (r *RobustConn) deadlineContext(ctx context.Context) (context.Context, func()) {
-	if r.opts.CallTimeout <= 0 {
+	budget := r.budget()
+	if budget <= 0 {
 		return ctx, func() {}
 	}
 	env := r.daemon.cfg.Network.Environment()
 	octx, cancel := context.WithCancelCause(ctx)
-	stop := env.Clock().AfterFunc(realTimeout(env, r.opts.CallTimeout), func() { cancel(ErrCallTimeout) })
+	stop := env.Clock().AfterFunc(budget, func() { cancel(ErrCallTimeout) })
 	return octx, func() {
 		stop()
 		cancel(context.Canceled)
 	}
 }
 
-// resolveErr maps an operation failure to what the caller should see:
+// resolveErr maps an exchange failure to what the caller should see:
 // when the per-call deadline is what stopped us, report ErrCallTimeout
 // instead of the incidental context or link error.
 func (r *RobustConn) resolveErr(ctx context.Context, err error) error {
 	if cause := context.Cause(ctx); errors.Is(cause, ErrCallTimeout) {
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrCallTimeout) {
-			return fmt.Errorf("%w (budget %v, last error: %v)", ErrCallTimeout, r.opts.CallTimeout, err)
-		}
-		return fmt.Errorf("%w (budget %v)", ErrCallTimeout, r.opts.CallTimeout)
+		return r.timeoutErr(err)
 	}
 	return err
 }
@@ -245,9 +334,8 @@ func (r *RobustConn) waitBackoff(ctx context.Context, retry int) error {
 	}
 }
 
-// do runs one operation under the retry/backoff/deadline policy. Link
-// losses — from the operation or from re-dialing — are retried after a
-// backoff; every other error is final.
+// do walks the session's policy for one operation with blocking calls
+// (goroutine engine).
 func (r *RobustConn) do(ctx context.Context, op func(ctx context.Context, conn *netsim.Conn) ([]byte, error)) ([]byte, error) {
 	octx, stop := r.deadlineContext(ctx)
 	defer stop()
@@ -260,10 +348,10 @@ func (r *RobustConn) do(ctx context.Context, op func(ctx context.Context, conn *
 		}
 		conn, err := r.current(octx)
 		if err != nil {
-			if errors.Is(err, netsim.ErrConnClosed) || octx.Err() != nil {
+			if !retryable(err, true) || octx.Err() != nil {
 				return nil, r.resolveErr(octx, err)
 			}
-			lastErr = err // re-dial failed: peer may come back, retry
+			lastErr = err
 			continue
 		}
 		out, err := op(octx, conn)
@@ -271,78 +359,189 @@ func (r *RobustConn) do(ctx context.Context, op func(ctx context.Context, conn *
 			return out, nil
 		}
 		lastErr = err
-		if !errors.Is(err, netsim.ErrLinkLost) {
+		if !retryable(err, false) {
 			return nil, r.resolveErr(octx, err)
 		}
 	}
 	return nil, r.resolveErr(octx, lastErr)
 }
 
-// Send transmits a message, failing over to another technology if the
-// link breaks.
-func (r *RobustConn) Send(ctx context.Context, payload []byte) error {
-	_, err := r.do(ctx, func(_ context.Context, conn *netsim.Conn) ([]byte, error) {
-		return nil, conn.Send(payload)
-	})
-	return err
+// walk is one exchange walked by doEvent: the attempt in progress, and
+// whether the exchange has ended (the deadline may end it while an
+// attempt or a backoff is still pending, which then ends as a no-op).
+type walk struct {
+	r        *RobustConn
+	req      []byte
+	then     func(netsim.Flow, []byte, error)
+	deadline func()
+	ended    bool
 }
 
-// Recv receives the next message, failing over if the link breaks while
-// waiting. After a failover the message stream restarts from the new
-// session.
-func (r *RobustConn) Recv(ctx context.Context) ([]byte, error) {
-	return r.do(ctx, func(octx context.Context, conn *netsim.Conn) ([]byte, error) {
-		return conn.Recv(octx)
-	})
-}
-
-// Call sends a request and waits for one response, with failover
-// retrying the whole exchange — the shape every PeerHood Community
-// operation uses. Calls are serialized per connection: a concurrent
-// Call waits for the in-flight exchange rather than interleaving with
-// it, which would pair requests with the wrong responses. Raw
-// Send/Recv remain unserialized for streaming protocols.
-func (r *RobustConn) Call(ctx context.Context, request []byte) ([]byte, error) {
-	r.exMu.Lock()
-	defer r.exMu.Unlock()
-	out, err := r.do(ctx, func(octx context.Context, conn *netsim.Conn) ([]byte, error) {
-		if err := conn.Send(request); err != nil {
-			return nil, err
-		}
-		return conn.Recv(octx)
-	})
-	if err != nil {
-		// The exchange is poisoned: a reply may still be in flight (a
-		// stalled or slow peer answering after our deadline), and the
-		// next Call would read it as its own response. Discard the
-		// session; the next exchange re-dials fresh.
-		r.poison()
+// doEvent walks do's policy as events on the DES: the same attempts,
+// re-dials, backoffs and deadline, each wait a child event of the
+// calling one (netsim.Flow.After), so no goroutine waits on it.
+func (r *RobustConn) doEvent(f netsim.Flow, req []byte, then func(netsim.Flow, []byte, error)) {
+	w := &walk{r: r, req: req, then: then, deadline: func() {}}
+	if budget := r.budget(); budget > 0 {
+		w.deadline = f.After(budget, func(f netsim.Flow) { w.end(f, nil, r.timeoutErr(nil)) })
 	}
-	return out, err
+	w.attempt(f, 0)
+}
+
+// attempt runs attempt n: the session's conn, re-dialed if it died,
+// then one request and its reply.
+func (w *walk) attempt(f netsim.Flow, n int) {
+	w.r.currentIn(f, func(f netsim.Flow, conn *netsim.Conn, err error) {
+		switch {
+		case w.ended:
+		case err != nil:
+			w.failed(f, n, err, true)
+		default:
+			if err := conn.SendEvent(f.Event(), w.req); err != nil {
+				w.failed(f, n, err, false)
+				return
+			}
+			conn.RecvEvent(f.Event(), func(ev *des.Ctx, reply []byte, err error) {
+				switch f := f.In(ev); {
+				case w.ended:
+				case err != nil:
+					w.failed(f, n, err, false)
+				default:
+					w.end(f, reply, nil)
+				}
+			})
+		}
+	})
+}
+
+// failed ends the exchange with err or, when the policy retries it,
+// arms the backoff before attempt n+1.
+func (w *walk) failed(f netsim.Flow, n int, err error, redial bool) {
+	if !retryable(err, redial) || n+1 >= w.r.opts.MaxAttempts {
+		w.end(f, nil, err)
+		return
+	}
+	env := w.r.daemon.cfg.Network.Environment()
+	f.After(env.Scale().ToReal(w.r.backoffDelay(n)), func(f netsim.Flow) {
+		if !w.ended {
+			w.attempt(f, n+1)
+		}
+	})
+}
+
+// end ends the exchange once, stopping its deadline.
+func (w *walk) end(f netsim.Flow, out []byte, err error) {
+	if w.ended {
+		return
+	}
+	w.ended = true
+	w.deadline()
+	w.then(f, out, err)
+}
+
+// Exchange sends req and hands its one reply to then in f, under the
+// session's policy — the shape every PeerHood Community operation uses.
+// Exchanges are serialized per session: a concurrent one waits for the
+// exchange in flight rather than interleaving with it, which would pair
+// requests with the wrong replies. On the goroutine engine do walks the
+// policy with blocking calls under exMu; on the DES doEvent walks it as
+// a cascade of f's events, queued behind the exchange in flight.
+//
+// A failed exchange poisons the session: a reply may still be in flight
+// (a stalled or slow peer answering after our deadline), and the next
+// exchange would read it as its own reply. The session is discarded,
+// and the next exchange re-dials fresh.
+func (r *RobustConn) Exchange(f netsim.Flow, req []byte, then func(netsim.Flow, []byte, error)) {
+	if f.Event() == nil {
+		r.exMu.Lock()
+		out, err := r.do(f.Context(), func(ctx context.Context, conn *netsim.Conn) ([]byte, error) {
+			if err := conn.Send(req); err != nil {
+				return nil, err
+			}
+			return conn.Recv(ctx)
+		})
+		if err != nil {
+			r.poison(f)
+		}
+		r.exMu.Unlock()
+		then(f, out, err)
+		return
+	}
+	r.enter(f, func(f netsim.Flow, leave func(netsim.Flow)) {
+		r.doEvent(f, req, func(f netsim.Flow, out []byte, err error) {
+			if err != nil {
+				r.poison(f)
+			}
+			leave(f)
+			then(f, out, err)
+		})
+	})
+}
+
+// Call is Exchange for a blocking caller (netsim.Await).
+func (r *RobustConn) Call(ctx context.Context, request []byte) ([]byte, error) {
+	return netsim.Await(r.daemon.cfg.Network, ctx, r.daemon.cfg.Device, func(f netsim.Flow, done func(netsim.Flow, []byte, error)) {
+		r.Exchange(f, request, done)
+	})
+}
+
+// enter starts an exchange on the DES once the one before it has left
+// the session: each exchange's turn is a completion that the next one
+// joins, so leave runs the next exchange's start in its own event.
+func (r *RobustConn) enter(f netsim.Flow, start func(f netsim.Flow, leave func(netsim.Flow))) {
+	turn := new(netsim.Completion[struct{}])
+	r.mu.Lock()
+	prev := r.turn
+	r.turn = turn
+	r.mu.Unlock()
+	leave := func(f netsim.Flow) { turn.Set(f, struct{}{}, nil) }
+	if prev == nil {
+		start(f, leave)
+		return
+	}
+	prev.Then(f, func(f netsim.Flow, _ struct{}, _ error) { start(f, leave) })
 }
 
 // poison drops the current session without closing the RobustConn.
-func (r *RobustConn) poison() {
+func (r *RobustConn) poison(f netsim.Flow) {
 	r.mu.Lock()
 	conn := r.conn
 	r.conn = nil
 	r.mu.Unlock()
 	if conn != nil {
+		f.Abort(conn)
+	}
+}
+
+// Close shuts the connection down, aborting its conn: an exchange owns
+// the session until its reply lands, so a closing owner owes nothing
+// in flight a delivery, and an abort never blocks (inside an event it
+// must not). Close clears r.conn so no later poison or upgrade can
+// release the same session twice — each *netsim.Conn gets exactly one
+// Close/Abort from its one owner.
+func (r *RobustConn) Close() {
+	if conn := r.shut(); conn != nil {
 		conn.Abort()
 	}
 }
 
-// Close shuts the connection down. It clears r.conn so no later
-// poison or upgrade can release the same session twice — each
-// *netsim.Conn gets exactly one Close/Abort from its one owner.
-func (r *RobustConn) Close() {
+// Abort is Close from flow f, inside f's event on the DES: the session
+// lost a race or is surplus. Aborting the conn fails an exchange
+// stalled in its receive.
+func (r *RobustConn) Abort(f netsim.Flow) {
+	if conn := r.shut(); conn != nil {
+		f.Abort(conn)
+	}
+}
+
+// shut marks the session closed and takes its conn.
+func (r *RobustConn) shut() *netsim.Conn {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	if r.conn != nil {
-		_ = r.conn.Close() // already failing over or shutting down; nothing to do with the error
-		r.conn = nil
-	}
+	conn := r.conn
+	r.conn = nil
+	return conn
 }
 
 // TryUpgrade re-dials the service over a more preferred technology when

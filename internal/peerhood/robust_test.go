@@ -117,11 +117,8 @@ func TestRobustConnCloseStopsUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.Close()
-	if err := rc.Send(ctx, []byte("x")); err == nil {
-		t.Fatal("Send after Close should fail")
-	}
-	if _, err := rc.Recv(ctx); err == nil {
-		t.Fatal("Recv after Close should fail")
+	if _, err := rc.Call(ctx, []byte("x")); err == nil {
+		t.Fatal("Call after Close should fail")
 	}
 }
 
@@ -247,36 +244,6 @@ func TestRobustCallLeavesNoTimer(t *testing.T) {
 	}
 	if after := clk.Waiters(); after != before {
 		t.Errorf("50 calls took the clock from %d pending timers to %d, want no change", before, after)
-	}
-}
-
-func TestRobustSendRecvStream(t *testing.T) {
-	w := newWorld(t)
-	w.addStatic(t, "a", geo.Pt(0, 0), radio.Bluetooth)
-	w.addStatic(t, "b", geo.Pt(5, 0), radio.Bluetooth)
-	da := w.daemon(t, "a")
-	db := w.daemon(t, "b")
-	echoService(t, db, "echo")
-	ctx := testCtx(t)
-	rc, err := da.ConnectRobust(ctx, "b", "echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	for i := 0; i < 5; i++ {
-		if err := rc.Send(ctx, []byte{byte('0' + i)}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := rc.Recv(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := "ok:" + string(byte('0'+i)); string(got) != want {
-			t.Fatalf("Recv = %q, want %q", got, want)
-		}
-	}
-	if rc.Remote() != "b" {
-		t.Fatalf("Remote = %v", rc.Remote())
 	}
 }
 

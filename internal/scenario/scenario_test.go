@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -276,5 +277,101 @@ func TestDESDeploymentAtRestRunsTwoGoroutinesPerPeer(t *testing.T) {
 	t.Logf("%d goroutines at rest with 16 peers, %d with 64", small, large)
 	if got := large - small; got != 0 {
 		t.Errorf("goroutines grew by %d from 16 to 64 peers (%d to %d), want none", got, small, large)
+	}
+}
+
+// TestDESDeploymentUnderTrafficRunsNoGoroutinePerPeer: built like the
+// at-rest test, a DES deployment serves three concurrent RefreshGroups
+// rounds from every peer without a goroutine per peer. Each round is a
+// cascade its driver awaits, so the goroutines beyond the drivers,
+// sampled while the traffic runs, do not grow from 16 to 64 peers.
+func TestDESDeploymentUnderTrafficRunsNoGoroutinePerPeer(t *testing.T) {
+	const roundsPerPeer = 3
+	underTraffic := func(peers int) int {
+		b := fastBuilder().WithDES(0)
+		for i := 0; i < peers; i++ {
+			b.AddPeer(PeerSpec{
+				Member:    ids.MemberID(fmt.Sprintf("busy-%02d", i)),
+				Position:  geo.Pt(float64(i)*4, 0),
+				Interests: []string{"football"},
+			})
+		}
+		d, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Stop()
+		ctx := testCtx(t)
+		if err := d.RefreshAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// Let the discovery round's goroutines exit before the drivers
+		// start, as the at-rest test does.
+		for n, i := runtime.NumGoroutine(), 0; i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		// Every driver is started before sampling begins and stays alive
+		// until it ends, so the drivers are a constant to subtract, along
+		// with the sampler itself.
+		drivers := roundsPerPeer * peers
+		var mu sync.Mutex
+		peak := 0
+		sample := func() {
+			n := runtime.NumGoroutine() - drivers - 1
+			mu.Lock()
+			peak = max(peak, n)
+			mu.Unlock()
+		}
+		var started, rounds, exited sync.WaitGroup
+		begin, release := make(chan struct{}), make(chan struct{})
+		for _, m := range d.Members() {
+			client := d.MustPeer(m).Client
+			for r := 0; r < roundsPerPeer; r++ {
+				started.Add(1)
+				rounds.Add(1)
+				exited.Add(1)
+				go func() {
+					defer exited.Done()
+					started.Done()
+					<-begin
+					if _, err := client.RefreshGroups(ctx); err != nil {
+						t.Error(err)
+					}
+					rounds.Done()
+					<-release
+				}()
+			}
+		}
+		started.Wait()
+		stop, sampled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(sampled)
+			for {
+				sample()
+				select {
+				case <-stop:
+					return
+				case <-time.After(100 * time.Microsecond):
+				}
+			}
+		}()
+		close(begin)
+		sample() // at least one sample while every round is in flight
+		rounds.Wait()
+		close(stop)
+		<-sampled
+		close(release)
+		exited.Wait()
+		return peak
+	}
+	small, large := underTraffic(16), underTraffic(64)
+	t.Logf("%d goroutines beyond the drivers under traffic with 16 peers, %d with 64", small, large)
+	if got := large - small; got > 0 {
+		t.Errorf("goroutines under traffic grew by %d from 16 to 64 peers (%d to %d), want none", got, small, large)
 	}
 }

@@ -320,7 +320,7 @@ func Run(s Scenario) (*Result, error) {
 
 	env := dep.Env
 	clock := env.Clock()
-	res.CallBudget = callBudget(env, s.CallTimeout)
+	res.CallBudget = callBudget(env, s.CallTimeout, dep.Sched != nil)
 	ctx := context.Background()
 
 	// Warm-up: one fault-free discovery round so every daemon knows its
@@ -725,15 +725,17 @@ func pickInterests(rng *rand.Rand, i int) []string {
 	return out
 }
 
-// callBudget is the real-time bound one measured client operation is
-// held to: client operations chain at most a handful of sequential
-// robust calls (resolve, check, the operation itself), each bounded by
-// the RobustConn deadline — which the peerhood layer floors at 2s real
-// so latency scales don't turn scheduler jitter into timeouts.
-func callBudget(env *radio.Environment, modeled time.Duration) time.Duration {
+// callBudget is the bound, on the environment's clock, one measured
+// client operation is held to: client operations chain at most a
+// handful of sequential robust calls (resolve, check, the operation
+// itself), each bounded by the RobustConn deadline. On the goroutine
+// engine the peerhood layer floors that deadline at 2s real so latency
+// scales don't turn scheduler jitter into timeouts; the DES clock has
+// no jitter and keeps the modeled deadline.
+func callBudget(env *radio.Environment, modeled time.Duration, des bool) time.Duration {
 	const floor = 2 * time.Second
 	d := env.Scale().ToReal(modeled)
-	if d < floor {
+	if d < floor && !des {
 		d = floor
 	}
 	return 4*d + time.Second
